@@ -64,13 +64,13 @@ def _leaf_diff(expected, actual, path=""):
 def test_fixture_set_matches_scenarios() -> None:
     """Every scenario has a fixture and vice versa (no strays)."""
     on_disk = {p.stem for p in FIXTURES.glob("*.json")}
-    assert on_disk == set(regen_golden.SCENARIOS), (
+    assert on_disk == set(regen_golden.NAMES), (
         "fixture files and tools/regen_golden.py SCENARIOS disagree; "
         "run tools/regen_golden.py"
     )
 
 
-@pytest.mark.parametrize("name", sorted(regen_golden.SCENARIOS))
+@pytest.mark.parametrize("name", sorted(regen_golden.NAMES))
 def test_golden_scenario(name: str) -> None:
     """Re-run one golden scenario and diff it field by field."""
     path = FIXTURES / f"{name}.json"

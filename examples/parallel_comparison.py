@@ -2,9 +2,9 @@
 """Parallel four-network comparison with ASCII curves.
 
 Runs the Fig. 18a comparison (four networks, global uniform traffic)
-across a process pool -- every (network, load) point in its own worker,
-bit-identical to the sequential runner -- then draws the
-latency-vs-throughput curves as text.
+on the sweep service's supervised workers -- every (network, load)
+point its own task, bit-identical to the sequential runner -- then
+draws the latency-vs-throughput curves as text.
 
 Run:  python examples/parallel_comparison.py [workers]
 """

@@ -10,44 +10,37 @@ Run:  python examples/quickstart.py [tmin|dmin|vmin|bmin] [load]
 
 import sys
 
-from repro.experiments.runner import _run_until_delivered
-from repro.metrics.collector import MeasurementWindow
-from repro.sim import Environment
-from repro.sim.rng import RandomStream
-from repro.traffic.clusters import global_cluster
-from repro.traffic.patterns import UniformPattern
-from repro.traffic.workload import MessageSizeModel, Workload
-from repro.wormhole import WormholeEngine, build_network
+from repro.experiments.config import NetworkConfig, RunConfig
+from repro.experiments.runner import run_point
+from repro.experiments.workload_spec import WorkloadSpec
+from repro.traffic.workload import MessageSizeModel
 
 
 def main() -> None:
     kind = sys.argv[1] if len(sys.argv) > 1 else "dmin"
     load = float(sys.argv[2]) if len(sys.argv) > 2 else 0.4
 
-    # 1. The simulation environment and the network (64 nodes, 4x4
-    #    switches, 3 stages -- the paper's geometry).
-    env = Environment()
-    network = build_network(kind, k=4, n=3, topology="cube")
-    engine = WormholeEngine(env, network, rng=RandomStream(42, "engine"))
+    # 1. The network: 64 nodes, 4x4 switches, 3 stages -- the paper's
+    #    geometry.
+    network = NetworkConfig(kind, k=4, n=3, topology="cube")
 
-    # 2. Uniform Poisson traffic at the requested offered load, with
-    #    short messages so the example finishes in seconds (use
-    #    MessageSizeModel.paper() for the paper's 8-1024 flits).
-    workload = Workload(
-        global_cluster(),
-        UniformPattern,
-        offered_load=load,
+    # 2. The run protocol: warm up for 300 deliveries, then measure a
+    #    steady-state window of 1500 more.  Short messages keep the
+    #    example to seconds (MessageSizeModel.paper() gives the
+    #    paper's 8-1024 flits).
+    run_cfg = RunConfig(
+        name="quickstart",
+        warmup_packets=300,
+        measure_packets=1_500,
+        max_cycles=100_000,
         sizes=MessageSizeModel.scaled(),
+        seed=42,
     )
-    workload.install(env, engine, RandomStream(42, "workload"))
-    engine.start()
 
-    # 3. Warm up, then measure a steady-state window.
-    _run_until_delivered(engine, target=300, deadline=50_000)
-    window = MeasurementWindow(engine)
-    window.begin()
-    _run_until_delivered(engine, target=300 + 1_500, deadline=env.now + 100_000)
-    m = window.finish()
+    # 3. Uniform Poisson traffic at the requested offered load: the
+    #    point pipeline assembles the simulation, warms up, measures.
+    traffic = WorkloadSpec(pattern="uniform", k=4, n=3)
+    m = run_point(network, traffic.builder(run_cfg), load, run_cfg)
 
     print(f"network : {kind.upper()} (64 nodes, 4x4 switches, 3 stages)")
     print(f"load    : {load:.0%} of injection bandwidth per node")

@@ -79,11 +79,9 @@ def _run_traced(args: argparse.Namespace, run_cfg) -> int:
 
 def _run_replay(args: argparse.Namespace, run_cfg) -> int:
     """The --replay mode: recorded trace through the reliable transport."""
-    from repro.sim.core import Environment
-    from repro.sim.rng import RandomStream
+    from repro.experiments.runner import build_point, run_until
     from repro.traffic.trace import TraceWorkload, read_trace
-    from repro.transport import ReliableTransport
-    from repro.wormhole.engine import WormholeEngine, resolve_engine
+    from repro.wormhole.engine import resolve_engine
 
     trace = read_trace(args.replay)
     network = NetworkConfig(
@@ -92,30 +90,19 @@ def _run_replay(args: argparse.Namespace, run_cfg) -> int:
         vlink_slowdown=args.vlink_slowdown,
     )
     kind = resolve_engine(args.engine)
-    env = Environment(scheduler="heap" if kind == "reference" else "calendar")
-    root = RandomStream(run_cfg.seed, name="root")
     label = network.label
-    engine = WormholeEngine(
-        env,
-        network.build(),
-        rng=root.fork(f"engine/{label}/replay"),
-        fast=kind != "reference",
-        batch=kind == "batch",
-    )
-    transport = ReliableTransport(
-        engine, rng=root.fork(f"transport/{label}/replay")
-    )
-    workload = TraceWorkload(trace, transport=transport)
-    workload.install(env, engine, root.fork(f"workload/{label}/replay"))
+    sim = build_point(network, 0.0, run_cfg, kind, tag="replay")
+    env, engine = sim.env, sim.engine
+    transport = sim.reliable()
+    workload = TraceWorkload(trace)
     start = time.perf_counter()  # lint-sim: ignore[RPV002] -- harness wall time
-    engine.start()
+    sim.install(workload)
     # Drive the replay process to exhaustion first -- it lives outside
     # both idle predicates until it hands messages to the transport --
     # then quiesce drains retransmissions, acks and backoff timers.
     total = len(trace.records)
     horizon = (trace.records[-1].t if trace.records else 0.0) + run_cfg.max_cycles
-    while workload.replayed < total and env.now < horizon:
-        env.run(until=min(env.now + 256, horizon))
+    run_until(env, lambda: workload.replayed >= total, horizon, chunk=256)
     transport.quiesce()
     elapsed = time.perf_counter() - start  # lint-sim: ignore[RPV002] -- harness wall time
     settled = len(transport.outcomes)

@@ -32,14 +32,9 @@ from typing import Optional, Sequence
 
 from repro.experiments.config import NetworkConfig, RunConfig
 from repro.experiments.report import ShapeCheck
-from repro.experiments.runner import _run_until_delivered
-from repro.faults.mtbf import MTBFChurn
-from repro.faults.recovery import RetryPolicy, SourceRetry
-from repro.metrics.collector import Measurement, MeasurementWindow
-from repro.sim.core import Environment
-from repro.traffic.workload import Workload
-from repro.sim.rng import RandomStream
-from repro.wormhole.engine import WormholeEngine
+from repro.experiments.runner import build_point
+from repro.faults.recovery import RetryPolicy
+from repro.metrics.collector import Measurement
 
 #: Per-channel unavailability ladder the availability figure sweeps.
 FAULT_RATES = (0.0, 0.002, 0.005, 0.01, 0.02, 0.05)
@@ -95,47 +90,14 @@ def availability_point(
         raise ValueError("fault_rate is an unavailability fraction in [0, 1)")
     from repro.experiments.workload_spec import WorkloadSpec
 
-    env = Environment()
-    root = RandomStream(run_cfg.seed, name="root")
-    engine = WormholeEngine(
-        env,
-        network.build(),
-        rng=root.fork(f"engine/{network.label}/{fault_rate}"),
-    )
-    retry = SourceRetry(
-        engine,
-        policy if policy is not None else RetryPolicy(),
-        root.fork(f"retry/{network.label}/{fault_rate}"),
-    )
-    churn = None
-    if fault_rate > 0.0:
-        mtbf = mttr * (1.0 - fault_rate) / fault_rate
-        churn = MTBFChurn(
-            env,
-            engine.network,
-            root.fork(f"faults/{network.label}/{fault_rate}"),
-            mtbf=mtbf,
-            mttr=mttr,
-            engine=engine,
-            severity=severity,
-        )
+    # Streams are labelled by fault rate, not load: the ladder varies
+    # the fault rate at one fixed load.
+    sim = build_point(network, load, run_cfg, tag=fault_rate)
+    retry = sim.retry(policy if policy is not None else RetryPolicy())
+    churn = sim.churn(fault_rate, mttr, severity)
     spec = WorkloadSpec(k=network.k, n=network.n)
-    workload: Workload = spec.builder(run_cfg)(load)
-    installed = workload.install(
-        env, engine, root.fork(f"workload/{network.label}/{fault_rate}")
-    )
-    if installed == 0:
-        raise RuntimeError("workload installed no traffic sources")
-    engine.start()
-
-    warmup_deadline = env.now + run_cfg.max_cycles / 4
-    _run_until_delivered(engine, run_cfg.warmup_packets, warmup_deadline)
-
-    window = MeasurementWindow(engine)
-    window.begin()
-    deadline = env.now + run_cfg.max_cycles
-    _run_until_delivered(engine, run_cfg.measure_packets, deadline)
-    measurement = window.finish()
+    sim.install(spec.builder(run_cfg)(load))
+    measurement, _ = sim.measure(run_cfg)
 
     return AvailabilityPoint(
         fault_rate=fault_rate,

@@ -34,16 +34,13 @@ from typing import Optional, Sequence
 
 from repro.experiments.config import NetworkConfig, RunConfig
 from repro.experiments.report import ShapeCheck
-from repro.experiments.runner import _check_point_deadline, build_point
+from repro.experiments.runner import build_point
 from repro.experiments.saturation import SaturationPoint, find_saturation
-from repro.faults.recovery import RetryPolicy, SourceRetry
-from repro.metrics.collector import Measurement, MeasurementWindow
-from repro.traffic.workload import Workload
+from repro.faults.recovery import RetryPolicy
+from repro.metrics.collector import Measurement
 from repro.stability import (
     AIMDConfig,
-    AIMDGovernor,
     BoundedQueue,
-    ProgressWatchdog,
     SteadyState,
     analyze_series,
     classify,
@@ -57,6 +54,9 @@ LOAD_FACTORS = (0.8, 1.0, 1.2, 1.5)
 #: MSER meaningful (>= 4 samples even after half-series truncation)
 #: without shrinking batches below the transient time scale.
 DEFAULT_BATCHES = 32
+
+#: Source retry behind the watchdog's stall recovery (overload sweeps).
+OVERLOAD_RETRY = RetryPolicy(max_attempts=4, base_delay=64.0, max_delay=1024.0)
 
 
 @dataclass(frozen=True)
@@ -116,70 +116,25 @@ def stability_point(
         raise ValueError("need >= 8 batches for a classifiable series")
     from repro.experiments.workload_spec import WorkloadSpec
 
-    env, sim_engine, root = build_point(network, offered_load, run_cfg, engine)
-    n_nodes = sim_engine.network.N
-
     # Overload toolkit: bounded queues, AIMD loop, watchdog + retry.
-    (admission if admission is not None else BoundedQueue()).install(
-        sim_engine
+    sim = build_point(network, offered_load, run_cfg, engine)
+    governor = sim.govern(
+        admission if admission is not None else BoundedQueue(),
+        governed,
+        aimd,
+        watchdog,
     )
-    governor = (
-        AIMDGovernor(sim_engine, aimd) if governed else None
-    )
-    retry = None
     if watchdog:
-        retry = SourceRetry(
-            sim_engine,
-            RetryPolicy(max_attempts=4, base_delay=64.0, max_delay=1024.0),
-            root.fork(f"retry/{network.label}/{offered_load}"),
-        )
-        sim_engine.watchdog = ProgressWatchdog(
-            sim_engine,
-            check_every=64,
-            stall_age=2048,
-            deadlock_after=512,
-            recover=True,
-        )
-
+        sim.retry(OVERLOAD_RETRY)
     spec = WorkloadSpec(k=network.k, n=network.n)
-    workload: Workload = spec.builder(run_cfg)(offered_load)
-    workload.governor = governor
-    installed = workload.install(
-        env,
-        sim_engine,
-        root.fork(f"workload/{network.label}/{offered_load}"),
-    )
-    if installed == 0:
-        raise RuntimeError("workload installed no traffic sources")
-    sim_engine.start()
-
-    # Warmup: packet-count target under a hard cycle bound, like the
-    # plain runner -- but past the knee the cycle bound is the binding
-    # one, which is exactly the point (bounded time).
-    warmup_deadline = env.now + run_cfg.max_cycles / 4
-    while (
-        sim_engine.stats.delivered_packets < run_cfg.warmup_packets
-        and env.now < warmup_deadline
-    ):
-        _check_point_deadline()
-        env.run(until=min(env.now + 512, warmup_deadline))
-
-    window = MeasurementWindow(sim_engine)
-    window.begin()
-    batch_cycles = max(1.0, run_cfg.max_cycles / batches)
-    series: list[float] = []
-    prev_flits = sim_engine.stats.delivered_flits
-    for _ in range(batches):
-        _check_point_deadline()
-        env.run(until=env.now + batch_cycles)
-        flits = sim_engine.stats.delivered_flits
-        series.append((flits - prev_flits) / (n_nodes * batch_cycles))
-        prev_flits = flits
-    measurement = window.finish()
+    sim.install(spec.builder(run_cfg)(offered_load))
+    # Warm-up is bounded in cycles as well as packets, and past the knee
+    # the cycle bound is the binding one -- exactly the point (bounded
+    # time).
+    measurement, series = sim.measure(run_cfg, batches=batches)
 
     steady = analyze_series(series)
     label = classify(steady, knee_throughput)
-    assert retry is None or retry.engine is sim_engine  # keeps the sub alive
     return StabilityPoint(
         load_factor=load_factor,
         offered_load=offered_load,

@@ -1,8 +1,8 @@
 """Run one simulation point with the observability subsystem attached.
 
-:func:`run_traced_point` mirrors :func:`repro.experiments.runner.run_point`
-exactly -- same seeds, same warmup/measure protocol, bit-identical
-:class:`~repro.metrics.collector.Measurement` -- but opens an
+:func:`run_traced_point` runs the pipeline of
+:func:`repro.experiments.runner.run_point` -- same seeds, bit-identical
+:class:`~repro.metrics.collector.Measurement` -- and opens an
 :class:`~repro.obs.session.ObsSession` aligned with the measurement
 window.  The sinks attach at ``window.begin()``, so the contention
 ledgers, latency histograms, and (optionally) the Perfetto trace cover
@@ -21,13 +21,9 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from repro.experiments.config import NetworkConfig, RunConfig
-from repro.experiments.runner import (
-    WorkloadBuilder,
-    _run_until_delivered,
-    build_point,
-)
+from repro.experiments.runner import WorkloadBuilder, build_point
 from repro.experiments.workload_spec import WorkloadSpec
-from repro.metrics.collector import Measurement, MeasurementWindow
+from repro.metrics.collector import Measurement
 from repro.obs.session import ObsSession
 
 
@@ -55,26 +51,17 @@ def run_traced_point(
     else:
         builder = workload
 
-    env, sim_engine, root = build_point(network, offered_load, run_cfg, engine)
-    engine = sim_engine
-    wl = builder(offered_load)
-    installed = wl.install(
-        env, engine, root.fork(f"workload/{network.label}/{offered_load}")
-    )
-    if installed == 0:
-        raise RuntimeError("workload installed no traffic sources")
-    engine.start()
+    sim = build_point(network, offered_load, run_cfg, engine)
+    sim.install(builder(offered_load))
+    sessions: list[ObsSession] = []
 
-    warmup_deadline = env.now + run_cfg.max_cycles / 4
-    _run_until_delivered(engine, run_cfg.warmup_packets, warmup_deadline)
+    def attach() -> None:
+        # Attach at the window boundary so the observation and
+        # measurement windows coincide (utilization == busy-interval
+        # sums by definition).
+        sessions.append(ObsSession(sim.engine, trace=trace, bucket=bucket))
 
-    window = MeasurementWindow(engine)
-    window.begin()
-    # Attach at the window boundary so the observation and measurement
-    # windows coincide (utilization == busy-interval sums by definition).
-    obs = ObsSession(engine, trace=trace, bucket=bucket)
-    deadline = env.now + run_cfg.max_cycles
-    _run_until_delivered(engine, run_cfg.measure_packets, deadline)
-    measurement = window.finish()
+    measurement, _ = sim.measure(run_cfg, on_window=attach)
+    obs = sessions[0]
     obs.close()
     return measurement, obs

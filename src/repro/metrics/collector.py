@@ -150,7 +150,7 @@ class Measurement:
 
 
 def measurement_to_dict(m: Measurement) -> dict:
-    """Field mapping of a measurement (checkpoint / cache persistence)."""
+    """Field mapping of a measurement (cache persistence)."""
     return dataclasses.asdict(m)
 
 

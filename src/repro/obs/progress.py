@@ -1,11 +1,12 @@
 """Live progress heartbeat for long sweeps.
 
 A :class:`ProgressMeter` is a callable ``meter(done, total, label)``
-that the parallel experiment runner invokes after every completed point
-(see :func:`repro.experiments.parallel.parallel_sweep`).  It prints a
-throttled one-line heartbeat to stderr -- completed/total, percentage,
-points/minute, and an ETA -- so multi-hour sweeps are observable without
-tailing checkpoint files.
+that the sweep service (and so
+:func:`repro.experiments.parallel.parallel_sweep`, which runs on it)
+invokes after every settled point.  It prints a throttled one-line
+heartbeat to stderr -- completed/total, percentage, points/minute, and
+an ETA -- so multi-hour sweeps are observable without tailing cache
+directories.
 
 Wall-clock reads here are harness-side only (they never feed back into
 the simulation), hence the RPV002 lint exemptions.

@@ -25,7 +25,7 @@ caller transparently recompute; the rewrite then heals the cache.
 
 Writes are write-temp-then-rename into the entry's final directory, so
 a crash mid-write never leaves a torn entry under a valid name (the
-same discipline as the PR 1 sweep checkpoints).
+same discipline as the job manifests).
 """
 
 from __future__ import annotations

@@ -22,8 +22,8 @@ and serves :class:`~repro.serve.job.JobSpec` requests:
 re-canonicalizes to the same hashes and hits the cache for everything
 that finished, recomputing only what was in flight.  There is no
 separate journal to replay -- the content-addressed cache *is* the
-checkpoint, with stronger integrity guarantees than the PR 1 sweep
-checkpoint it generalizes.
+checkpoint (also for :func:`repro.experiments.parallel.parallel_sweep`,
+whose ``cache=`` directory is this cache).
 
 Async usage::
 

@@ -14,7 +14,7 @@ future work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.sim.core import Environment
 from repro.sim.rng import RandomStream
@@ -22,6 +22,9 @@ from repro.traffic.bursty import ArrivalSpec
 from repro.traffic.clusters import ClusterSpec
 from repro.traffic.patterns import TrafficPattern
 from repro.wormhole.engine import WormholeEngine
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.transport import ReliableTransport
 
 
 @dataclass(frozen=True)
@@ -113,9 +116,8 @@ class Workload:
         one draw per arrival (see :mod:`repro.traffic.bursty`), so the
         per-message draw count never drifts.
     transport:
-        Optional end-to-end transport (anything with
-        ``send(src, dst, length)``, e.g.
-        :class:`repro.transport.ReliableTransport`).  When set, sources
+        Optional end-to-end :class:`repro.transport.ReliableTransport`
+        (the point pipeline wires it in).  When set, sources
         hand messages to the transport instead of offering raw packets;
         the transport absorbs admission pressure (its window/backoff),
         so the block-retry loop is bypassed.
@@ -130,7 +132,7 @@ class Workload:
         governor: Optional[object] = None,
         block_retry: float = 8.0,
         arrival: Optional[ArrivalSpec] = None,
-        transport: Optional[object] = None,
+        transport: Optional[ReliableTransport] = None,
     ) -> None:
         if offered_load <= 0:
             raise ValueError("offered_load must be positive")

@@ -28,7 +28,8 @@ from repro.verify.flow.effects import Effect, function_effects
 CERTIFICATE_VERSION = 1
 
 #: The cache compute closure's certified entry points: the worker
-#: payload function, the plain experiment point it wraps, and the
+#: payload function, the plain experiment point it wraps, the point
+#: pipeline's assembly step every layered point stacks on, and the
 #: engine/scheduler run loops everything executes on.
 DEFAULT_ENTRY_POINTS = (
     "repro.serve.compute.run_point_spec",

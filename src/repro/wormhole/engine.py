@@ -36,7 +36,7 @@ from repro.obs.bus import EventBus
 from repro.sim.core import Environment
 from repro.sim.rng import RandomStream
 from repro.wormhole import channel as channel_mod
-from repro.wormhole.channel import Lane, PhysChannel
+from repro.wormhole.channel import PhysChannel
 from repro.wormhole.network import SimNetwork
 from repro.wormhole.packet import Packet, PacketState
 
@@ -90,12 +90,13 @@ def _batch_vector_min() -> int:
 def resolve_engine(engine: Optional[str] = None) -> str:
     """Resolve the engine-path choice against the ``REPRO_ENGINE`` env var.
 
-    Explicit arguments win; otherwise ``REPRO_ENGINE=reference`` (set
-    e.g. by ``python -m repro.experiments --engine=reference``) opts out
-    of the fast path, and the default is ``"fast"``.  The environment
-    variable -- not a thread-local or global -- is the carrier so the
-    choice survives into :mod:`repro.experiments.parallel` worker
-    processes unchanged.
+    Explicit arguments win; otherwise ``REPRO_ENGINE`` (set e.g. by
+    ``python -m repro.experiments --engine=reference``) picks the tier,
+    and the default is ``"fast"``.  Every point is assembled by
+    :func:`repro.experiments.runner.build_point`, which resolves the
+    tier here; :mod:`repro.experiments.parallel` resolves it in the
+    caller and writes it into the job spec, so sweep-service workers
+    run the caller's tier.
     """
     if engine is None:
         engine = os.environ.get("REPRO_ENGINE", "") or "fast"
@@ -1462,12 +1463,6 @@ class WormholeEngine:
                 p._blk_usable = None
                 if p._blk_epoch == channel_mod.fault_epoch:
                     self._blk_valid -= 1
-
-    def transmit(self, ch: PhysChannel) -> Optional[Lane]:
-        """Move one flit across ``ch`` if possible (split out for tests)."""
-        if not ch.busy:
-            return None
-        return ch.transmit()
 
     def abort_packet(self, p: Packet) -> None:
         """Externally kill a packet (hard faults, recovery timeouts).

@@ -24,9 +24,9 @@ Three tiers are compared:
   behaviour.  The batch leg is skipped silently when numpy is absent
   (the batch tier refuses to construct without it).
 
-Every helper here builds its point exactly like
-:func:`repro.experiments.runner.build_point` does (same RNG fork
-labels), so the streams consumed by topology construction, traffic
+Every helper here builds and measures its point on the point pipeline
+(:func:`repro.experiments.runner.build_point`, ``SimPoint.install``,
+``SimPoint.measure``: same RNG fork labels), so the streams consumed by topology construction, traffic
 generation, and allocation shuffles match between the runs by
 construction; any observable divergence is then an engine bug.
 """
@@ -37,11 +37,10 @@ import os
 from dataclasses import replace
 
 from repro.experiments.config import PRESETS, NetworkConfig
-from repro.experiments.runner import _run_until_delivered, build_point
+from repro.experiments.runner import build_point
 from repro.experiments.workload_spec import WorkloadSpec
 from repro.faults.mtbf import fabric_channels
 from repro.faults.plan import FaultEvent, FaultPlan
-from repro.metrics.collector import MeasurementWindow
 from repro.wormhole import channel as channel_mod
 
 #: Network kinds under test (all four of the paper's networks).
@@ -152,7 +151,8 @@ def run_case(
     if sanitize:
         os.environ["REPRO_SANITIZE"] = "1"
     try:
-        env, eng, root = build_point(network, load, run_cfg, engine)
+        sim = build_point(network, load, run_cfg, engine)
+        env, eng, root = sim.env, sim.engine, sim.root
         if sink is not None:
             eng.bus.attach(sink)
         injector = None
@@ -205,19 +205,8 @@ def run_case(
         workload = spec.builder(run_cfg)(load)
         workload.governor = governor
         workload.transport = reliability
-        workload.install(
-            env, eng, root.fork(f"workload/{network.label}/{load}")
-        )
-        eng.start()
-        _run_until_delivered(
-            eng, run_cfg.warmup_packets, env.now + run_cfg.max_cycles / 4
-        )
-        window = MeasurementWindow(eng)
-        window.begin()
-        _run_until_delivered(
-            eng, run_cfg.measure_packets, env.now + run_cfg.max_cycles
-        )
-        measurement = window.finish()
+        sim.install(workload)
+        measurement, _ = sim.measure(run_cfg)
     finally:
         if sanitize:
             if saved_env is None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.config import PRESETS, NetworkConfig
-from repro.experiments.runner import _run_until_delivered
+from repro.experiments.runner import run_until
 from repro.experiments.workload_spec import WorkloadSpec
 from repro.sim.core import Environment
 from repro.sim.events import PRIORITY_NORMAL, PRIORITY_URGENT
@@ -102,13 +102,15 @@ def _engine_run(kind: str, scheduler: str):
     workload = spec.builder(CFG)(load)
     workload.install(env, engine, root.fork(f"workload/{network.label}/{load}"))
     engine.start()
-    _run_until_delivered(engine, CFG.warmup_packets, env.now + 4000)
-    _run_until_delivered(
-        engine,
-        CFG.warmup_packets + CFG.measure_packets,
+    stats = engine.stats
+    run_until(
+        env, lambda: stats.delivered_packets >= CFG.warmup_packets, env.now + 4000
+    )
+    run_until(
+        env,
+        lambda: stats.delivered_packets >= CFG.warmup_packets + CFG.measure_packets,
         env.now + CFG.max_cycles,
     )
-    stats = engine.stats
     return (
         tuple(stats.records),
         stats.offered_packets,

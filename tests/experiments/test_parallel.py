@@ -1,66 +1,44 @@
 """Tests for the declarative workload specs and the parallel runner."""
 
 import os
-import time
 from dataclasses import replace
 
 import pytest
 
+import repro.serve.compute as compute
 from repro.experiments.config import SMOKE, NetworkConfig
 from repro.experiments.parallel import (
-    SweepCheckpoint,
-    _point_task,
     parallel_matrix,
     parallel_sweep,
+    sweep_results,
 )
-from repro.experiments.runner import sweep
+from repro.experiments.runner import run_point, sweep
 from repro.experiments.workload_spec import WorkloadSpec
 
 QUICK = replace(SMOKE, warmup_packets=20, measure_packets=100, loads=(0.2, 0.5))
 
 
-# Module-level so they pickle into worker processes.
+# Module-level stand-ins for ``repro.serve.compute.run_point``: the
+# supervisor forks its workers, so a monkeypatched module attribute is
+# what the worker runs.
 
 
-def crashing_runner(task):
-    """Dies on the 0.5 point, measures the rest."""
-    _network, _spec, load, _cfg = task
-    if load == 0.5:
-        raise RuntimeError("simulated worker crash")
-    return _point_task(task)
-
-
-def always_crashing_runner(task):
-    raise RuntimeError("this runner must never be invoked")
-
-
-def flaky_runner(task):
+def flaky_run_point(network, builder, load, run_cfg, engine=None):
     """Crashes until the sentinel file exists (created on first call):
-    the pool attempt dies, the parent's sequential retry succeeds."""
+    the first attempt dies, the supervisor's retry succeeds."""
     sentinel = os.environ["REPRO_FLAKY_SENTINEL"]
     if not os.path.exists(sentinel):
         with open(sentinel, "w") as fh:
             fh.write("crashed once")
         raise OSError("transient failure")
-    return _point_task(task)
+    return run_point(network, builder, load, run_cfg, engine)
 
 
-def sleeping_runner(task):
-    time.sleep(30.0)
-    return _point_task(task)  # pragma: no cover - killed by timeout
-
-
-def counting_runner(task):
-    """Tallies one line per invocation under REPRO_COUNT_DIR, per key."""
-    from pathlib import Path
-
-    from repro.experiments.parallel import _task_key
-
-    outdir = Path(os.environ["REPRO_COUNT_DIR"])
-    name = _task_key(task).replace("/", "_").replace(" ", "")
-    with open(outdir / name, "a") as fh:
+def counting_run_point(network, builder, load, run_cfg, engine=None):
+    """Tallies one line per invocation under REPRO_COUNT_DIR, per load."""
+    with open(os.path.join(os.environ["REPRO_COUNT_DIR"], f"{load}"), "a") as fh:
         fh.write("ran\n")
-    return _point_task(task)
+    return run_point(network, builder, load, run_cfg, engine)
 
 
 # ------------------------------------------------------------- WorkloadSpec
@@ -139,15 +117,31 @@ def test_parallel_matrix_structure():
 # --------------------------------------------------------- crash tolerance
 
 
-def test_worker_crash_keeps_other_points():
-    """A crashed worker loses its point, never the others: the result
-    is partial, with the error string attached to the casualty."""
+def test_worker_crash_keeps_other_points(tmp_path):
+    """A failed point loses only itself: the manifest->SweepResult
+    mapping keeps every served point and attaches the supervisor's
+    error string to the casualty."""
+    from repro.serve.cache import ResultCache
+    from repro.serve.compute import run_point_spec
+    from repro.serve.job import JobManifest, JobSpec, summarize_points
+
     net = NetworkConfig("dmin", k=2, n=3)
     spec = WorkloadSpec(k=2, n=3)
-    result = parallel_sweep(
-        net, spec, QUICK, max_workers=2, retries=0,
-        point_runner=crashing_runner,
+    job = JobSpec(networks=(net,), run=QUICK, workload=spec)
+    ok, bad = job.points()
+    cache = ResultCache(tmp_path)
+    cache.put(ok.key(), run_point_spec(ok))
+    manifest = JobManifest(
+        job_id=job.job_id,
+        spec=job.to_dict(),
+        points=summarize_points(
+            job.points(),
+            {ok.key(): "computed", bad.key(): "failed"},
+            {bad.key(): "RuntimeError: simulated worker crash"},
+        ),
     )
+    (result,) = sweep_results(manifest, cache, per_series=2)
+    assert result.label == "DMIN(d=2, cube) / uniform"
     assert not result.complete
     assert result.errors() == [(0.5, "RuntimeError: simulated worker crash")]
     by_load = {p.offered_load: p for p in result.points}
@@ -157,22 +151,44 @@ def test_worker_crash_keeps_other_points():
     assert result.max_sustained_throughput() > 0
     with pytest.raises(ValueError):
         result.latency_at(0.5)
+    # The served point is the sequential runner's measurement.
+    seq = sweep(net, spec.builder(QUICK), QUICK, loads=(0.2,))
+    assert by_load[0.2] == seq.points[0]
 
 
-def test_sequential_retry_recovers_transient_crash(tmp_path, monkeypatch):
-    """A point that crashes once in the pool succeeds when the parent
-    re-runs it sequentially."""
+def test_unserved_point_reports_its_status(tmp_path):
+    """A point an interrupted job never settled maps to an error
+    naming its status, not to a measurement."""
+    from repro.serve.cache import ResultCache
+    from repro.serve.job import JobManifest, JobSpec, summarize_points
+
+    job = JobSpec(
+        networks=(NetworkConfig("dmin", k=2, n=3),),
+        run=QUICK,
+        workload=WorkloadSpec(k=2, n=3),
+        loads=(0.2,),
+    )
+    manifest = JobManifest(
+        job_id=job.job_id,
+        spec=job.to_dict(),
+        points=summarize_points(job.points(), {}),
+    )
+    (result,) = sweep_results(manifest, ResultCache(tmp_path), per_series=1)
+    assert result.errors() == [(0.2, "pending")]
+
+
+def test_supervisor_retry_recovers_transient_crash(tmp_path, monkeypatch):
+    """A point whose first attempt crashes in a worker is retried by
+    the supervisor and lands bit-identical to the sequential runner."""
     sentinel = tmp_path / "flaky.flag"
     monkeypatch.setenv("REPRO_FLAKY_SENTINEL", str(sentinel))
+    monkeypatch.setattr(compute, "run_point", flaky_run_point)
     net = NetworkConfig("dmin", k=2, n=3)
     spec = WorkloadSpec(k=2, n=3)
-    result = parallel_sweep(
-        net, spec, QUICK, loads=(0.2,), max_workers=1,
-        retries=2, backoff=0.0, point_runner=flaky_runner,
-    )
+    result = parallel_sweep(net, spec, QUICK, loads=(0.2,), max_workers=1)
     assert result.complete
     assert sentinel.exists()  # proof the first attempt crashed
-    # Bit-identical to the sequential runner despite the detour.
+    assert result.dispatch.supervisor["retries"] == 1
     seq = sweep(net, spec.builder(QUICK), QUICK, loads=(0.2,))
     assert result.points == seq.points
 
@@ -180,11 +196,7 @@ def test_sequential_retry_recovers_transient_crash(tmp_path, monkeypatch):
 def test_cooperative_deadline_fires_inside_the_simulation_loop():
     """set_point_deadline + a practically endless point: the simulation
     loop's cooperative check converts the overrun into PointTimeout."""
-    from repro.experiments.runner import (
-        PointTimeout,
-        run_point,
-        set_point_deadline,
-    )
+    from repro.experiments.runner import PointTimeout, set_point_deadline
 
     net = NetworkConfig("dmin", k=2, n=3)
     spec = WorkloadSpec(k=2, n=3)
@@ -210,75 +222,87 @@ def test_deadline_validation_and_disarm():
     set_point_deadline(None)  # disarm is always legal
 
 
+def _deadlined_endless_point(seconds: float):
+    from repro.experiments.runner import set_point_deadline
+
+    endless = replace(
+        QUICK, warmup_packets=10**9, measure_packets=10**9,
+        max_cycles=10**9,
+    )
+    set_point_deadline(seconds)
+    try:
+        return run_point(
+            NetworkConfig("dmin", k=2, n=3),
+            WorkloadSpec(k=2, n=3).builder(endless),
+            0.5,
+            endless,
+        )
+    finally:
+        set_point_deadline(None)
+
+
 def test_cutoff_works_in_a_worker_thread():
     """SIGALRM cannot be armed outside the main thread; the cooperative
-    deadline can.  _alarmed_runner in a thread pool must still cut the
-    point off (and must not die on signal.signal)."""
+    deadline can: a point run in a thread pool is still cut off."""
     from concurrent.futures import ThreadPoolExecutor
 
-    from repro.experiments.parallel import _alarmed_runner
+    from repro.experiments.runner import PointTimeout
 
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        fut = pool.submit(_deadlined_endless_point, 0.3)
+        with pytest.raises(PointTimeout):
+            fut.result(timeout=60)
+
+
+def test_per_point_timeout_converts_hang_to_error():
+    """``timeout=`` arms the deadline in the worker; a point that never
+    finishes is retried, then settles as a failed LoadPoint."""
     net = NetworkConfig("dmin", k=2, n=3)
     spec = WorkloadSpec(k=2, n=3)
     endless = replace(
         QUICK, warmup_packets=10**9, measure_packets=10**9,
         max_cycles=10**9,
     )
-    task = (net, spec, 0.5, endless)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        fut = pool.submit(_alarmed_runner, (_point_task, 0.3, task))
-        with pytest.raises(TimeoutError):
-            fut.result(timeout=60)
-
-
-def test_per_point_timeout_converts_hang_to_error():
-    net = NetworkConfig("dmin", k=2, n=3)
-    spec = WorkloadSpec(k=2, n=3)
     result = parallel_sweep(
-        net, spec, QUICK, loads=(0.2,), max_workers=1,
-        timeout=0.5, retries=0, point_runner=sleeping_runner,
+        net, spec, endless, loads=(0.2,), max_workers=1, timeout=0.3,
     )
     assert not result.complete
     (load, error) = result.errors()[0]
     assert load == 0.2
-    assert "TimeoutError" in error
+    assert error.startswith("PointTimeout")
+    assert result.dispatch.counts["failed"] == 1
 
 
-# ------------------------------------------------------- checkpoint / resume
+# ------------------------------------------------------------ cache / resume
 
 
 def test_checkpoint_resume_skips_finished_points(tmp_path):
-    """Second run with the same checkpoint recomputes nothing: a runner
-    that would crash on any invocation returns the first run's points."""
-    path = tmp_path / "sweep.json"
+    """A second run on the same cache computes nothing: the manifest
+    reports every point cached, and the answers are the first run's."""
     net = NetworkConfig("dmin", k=2, n=3)
     spec = WorkloadSpec(k=2, n=3)
-    first = parallel_sweep(net, spec, QUICK, max_workers=2, checkpoint=path)
-    assert first.complete and path.exists()
+    first = parallel_sweep(net, spec, QUICK, max_workers=2, cache=tmp_path)
+    assert first.complete
+    assert first.dispatch.counts["computed"] == 2
 
-    resumed = parallel_sweep(
-        net, spec, QUICK, max_workers=2, checkpoint=path,
-        point_runner=always_crashing_runner,
-    )
+    resumed = parallel_sweep(net, spec, QUICK, max_workers=2, cache=tmp_path)
+    assert resumed.dispatch.counts["computed"] == 0
+    assert resumed.dispatch.counts["cached"] == 2
     assert resumed == first
 
 
 def test_checkpoint_completes_partial_run(tmp_path):
-    """A run that crashed on one point leaves the finished points in
-    the checkpoint; the resume computes only the missing one."""
-    path = tmp_path / "sweep.json"
+    """A run that finished only part of the grid leaves those points in
+    the cache; the resume computes only the missing one."""
     net = NetworkConfig("dmin", k=2, n=3)
     spec = WorkloadSpec(k=2, n=3)
-    partial = parallel_sweep(
-        net, spec, QUICK, max_workers=2, retries=0,
-        checkpoint=path, point_runner=crashing_runner,
-    )
-    assert not partial.complete
-    assert len(SweepCheckpoint(path)) == 1      # only the ok point persisted
+    partial = parallel_sweep(net, spec, QUICK, loads=(0.2,), cache=tmp_path)
+    assert partial.complete
 
-    resumed = parallel_sweep(net, spec, QUICK, max_workers=2, checkpoint=path)
+    resumed = parallel_sweep(net, spec, QUICK, max_workers=2, cache=tmp_path)
     assert resumed.complete
-    assert len(SweepCheckpoint(path)) == 2
+    assert resumed.dispatch.counts["cached"] == 1
+    assert resumed.dispatch.counts["computed"] == 1
     # And it matches a from-scratch sequential sweep.
     seq = sweep(net, spec.builder(QUICK), QUICK)
     assert resumed.points == seq.points
@@ -287,42 +311,45 @@ def test_checkpoint_completes_partial_run(tmp_path):
 def test_duplicate_points_simulate_once(tmp_path, monkeypatch):
     """Identical (network, spec, load) entries fold onto one dispatch;
     the duplicates share the representative's result."""
-    monkeypatch.setenv("REPRO_COUNT_DIR", str(tmp_path))
+    counts = tmp_path / "counts"
+    counts.mkdir()
+    monkeypatch.setenv("REPRO_COUNT_DIR", str(counts))
+    monkeypatch.setattr(compute, "run_point", counting_run_point)
     net = NetworkConfig("dmin", k=2, n=3)
     spec = WorkloadSpec(k=2, n=3)
     result = parallel_sweep(
         net, spec, QUICK, loads=(0.2, 0.5, 0.5, 0.2), max_workers=2,
-        point_runner=counting_runner,
     )
     assert result.complete and len(result.points) == 4
     assert result.points[1] == result.points[2]
     assert result.points[0] == result.points[3]
-    assert result.dispatch.requested == 4
-    assert result.dispatch.unique == 2
-    assert result.dispatch.deduplicated == 2
+    assert result.dispatch.counts["requested"] == 4
+    assert result.dispatch.counts["unique"] == 2
+    assert result.dispatch.counts["deduplicated"] == 2
     # proof of a single simulation per unique point
     tallies = {p.name: len(p.read_text().splitlines())
-               for p in tmp_path.iterdir()}
-    assert len(tallies) == 2 and set(tallies.values()) == {1}
+               for p in counts.iterdir()}
+    assert tallies == {"0.2": 1, "0.5": 1}
     # dedupe never changes the answers
     seq = sweep(net, spec.builder(QUICK), QUICK, loads=(0.2, 0.5, 0.5, 0.2))
     assert result.points == seq.points
 
 
 def test_dispatch_stats_report_checkpoint_hits(tmp_path):
-    path = tmp_path / "sweep.json"
     net = NetworkConfig("dmin", k=2, n=3)
     spec = WorkloadSpec(k=2, n=3)
-    first = parallel_sweep(net, spec, QUICK, max_workers=2, checkpoint=path)
-    assert first.dispatch.checkpointed == 0
+    first = parallel_sweep(net, spec, QUICK, max_workers=2, cache=tmp_path)
+    assert first.dispatch.counts["cached"] == 0
 
-    resumed = parallel_sweep(
-        net, spec, QUICK, max_workers=2, checkpoint=path,
-        point_runner=always_crashing_runner,
-    )
-    assert resumed.dispatch.checkpointed == 2
-    assert resumed.dispatch.unique == 2       # distinct keys, all from disk
-    assert resumed.dispatch.deduplicated == 0
+    resumed = parallel_sweep(net, spec, QUICK, max_workers=2, cache=tmp_path)
+    assert resumed.dispatch.counts["cached"] == 2
+    assert resumed.dispatch.counts["unique"] == 2   # distinct keys, all from disk
+    assert resumed.dispatch.counts["deduplicated"] == 0
+    assert resumed.dispatch.cache["hits"] == 2
+
+
+def _cache_entries(root):
+    return sorted(p for p in root.glob("??/*.json"))
 
 
 @pytest.mark.parametrize(
@@ -335,41 +362,54 @@ def test_dispatch_stats_report_checkpoint_hits(tmp_path):
     ],
     ids=["truncated", "garbage", "bad_schema", "not_object"],
 )
-def test_corrupt_checkpoint_quarantined_and_restarted(tmp_path, content, caplog):
-    """A corrupt checkpoint never raises: it is renamed to *.corrupt,
-    logged, and the sweep restarts (and re-persists) cleanly."""
-    import logging
-
-    path = tmp_path / "sweep.json"
-    path.write_text(content)
+def test_corrupt_checkpoint_quarantined_and_restarted(tmp_path, content):
+    """A corrupt cache entry never raises: it is moved to quarantine
+    and its point recomputed (and re-persisted) cleanly."""
     net = NetworkConfig("dmin", k=2, n=3)
     spec = WorkloadSpec(k=2, n=3)
-    with caplog.at_level(logging.WARNING, logger="repro.experiments.parallel"):
-        result = parallel_sweep(net, spec, QUICK, max_workers=2, checkpoint=path)
-    assert result.complete
-    assert (tmp_path / "sweep.json.corrupt").read_text() == content
-    assert any("corrupt" in r.message for r in caplog.records)
-    # the fresh checkpoint is healthy and resumable
-    assert len(SweepCheckpoint(path)) == 2
+    first = parallel_sweep(net, spec, QUICK, max_workers=2, cache=tmp_path)
+    victim = _cache_entries(tmp_path)[0]
+    victim.write_text(content)
+
+    result = parallel_sweep(net, spec, QUICK, max_workers=2, cache=tmp_path)
+    assert result.complete and result == first
+    assert result.dispatch.counts["computed"] == 1
+    assert result.dispatch.cache["corrupt"] == 1
+    quarantined = tmp_path / "quarantine" / f"{victim.name}.corrupt"
+    assert quarantined.read_text() == content
+    # the healed entry is verifiable again
+    assert len(_cache_entries(tmp_path)) == 2
+    again = parallel_sweep(net, spec, QUICK, cache=tmp_path)
+    assert again.dispatch.counts["cached"] == 2
 
 
 def test_repeated_corruption_keeps_all_evidence(tmp_path):
-    path = tmp_path / "sweep.json"
+    net = NetworkConfig("dmin", k=2, n=3)
+    spec = WorkloadSpec(k=2, n=3)
+    parallel_sweep(net, spec, QUICK, loads=(0.2,), cache=tmp_path)
+    (victim,) = _cache_entries(tmp_path)
     for round_no in range(2):
-        path.write_text(f"garbage round {round_no}")
-        assert len(SweepCheckpoint(path)) == 0
-    assert (tmp_path / "sweep.json.corrupt").exists()
-    assert (tmp_path / "sweep.json.corrupt.1").exists()
+        victim.write_text(f"garbage round {round_no}")
+        parallel_sweep(net, spec, QUICK, loads=(0.2,), cache=tmp_path)
+    qdir = tmp_path / "quarantine"
+    assert (qdir / f"{victim.name}.corrupt").read_text() == "garbage round 0"
+    assert (qdir / f"{victim.name}.corrupt.1").read_text() == "garbage round 1"
 
 
 def test_checkpoint_file_is_valid_json_and_atomic(tmp_path):
+    """The cache entries and the job manifest are complete JSON files,
+    and no torn temp file is left behind."""
     import json
 
-    path = tmp_path / "sweep.json"
     net = NetworkConfig("dmin", k=2, n=3)
     spec = WorkloadSpec(k=2, n=3)
-    parallel_sweep(net, spec, QUICK, max_workers=2, checkpoint=path)
-    payload = json.loads(path.read_text())
+    result = parallel_sweep(net, spec, QUICK, max_workers=2, cache=tmp_path)
+    entries = _cache_entries(tmp_path)
+    assert len(entries) == 2
+    for entry in entries:
+        assert json.loads(entry.read_text())["version"] == 1
+    manifest = tmp_path / "jobs" / f"{result.dispatch.job_id}.manifest.json"
+    payload = json.loads(manifest.read_text())
     assert payload["version"] == 1
     assert len(payload["points"]) == 2
-    assert not list(tmp_path.glob("*.tmp"))     # no torn temp files left
+    assert not list(tmp_path.rglob("*.tmp"))     # no torn temp files left

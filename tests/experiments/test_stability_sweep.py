@@ -135,7 +135,8 @@ def test_overload_counters_roundtrip_through_csv(tmp_path):
 
     # One point run manually with a tiny admission bound installed so
     # the overload counters are genuinely non-zero.
-    env, eng, root = build_point(NET, 0.9, cfg)
+    sim = build_point(NET, 0.9, cfg)
+    env, eng, root = sim.env, sim.engine, sim.root
     BoundedQueue(capacity=4, mode=SHED_NEWEST).install(eng)
     workload = spec.builder(cfg)(0.9)
     workload.install(env, eng, root.fork("workload/x/0.9"))

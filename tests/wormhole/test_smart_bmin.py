@@ -15,7 +15,7 @@ from dataclasses import replace
 
 from repro.experiments.config import SMOKE
 from repro.experiments.figures import shuffle_workload
-from repro.experiments.runner import _run_until_delivered
+from repro.experiments.runner import run_until
 from repro.metrics.collector import MeasurementWindow
 from repro.sim import Environment
 from repro.sim.rng import RandomStream
@@ -92,10 +92,15 @@ def test_smart_beats_random_under_shuffle():
         wl = shuffle_workload(cfg)(0.7)
         wl.install(env, eng, RandomStream(cfg.seed + 1))
         eng.start()
-        _run_until_delivered(eng, 200, 30_000)
+        stats = eng.stats
+        run_until(env, lambda: stats.delivered_packets >= 200, 30_000)
         window = MeasurementWindow(eng)
         window.begin()
-        _run_until_delivered(eng, 200 + cfg.measure_packets, env.now + 60_000)
+        run_until(
+            env,
+            lambda: stats.delivered_packets >= 200 + cfg.measure_packets,
+            env.now + 60_000,
+        )
         results[name] = window.finish().throughput_percent
     assert results["smart"] > results["random"] + 5.0, results
     assert results["smart"] > 50.0, results  # past the DMIN's cap

@@ -10,8 +10,9 @@ from dataclasses import replace
 
 from benchmarks.conftest import save_and_print
 from repro.experiments.config import NetworkConfig
-from repro.experiments.figures import shuffle_workload, uniform_workload
+from repro.experiments.figures import uniform_workload
 from repro.experiments.runner import run_point
+from repro.experiments.workload_spec import WorkloadSpec
 from repro.traffic.clusters import global_cluster
 
 VARIANTS = [
@@ -32,7 +33,7 @@ def _run_all(bench_cfg):
     out = []
     for wb_name, wb in (
         ("uniform", uniform_workload(global_cluster(), cfg)),
-        ("shuffle", shuffle_workload(cfg)),
+        ("shuffle", WorkloadSpec(pattern="shuffle").builder(cfg)),
     ):
         for net in VARIANTS:
             label = net.label + (

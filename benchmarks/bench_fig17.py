@@ -7,12 +7,14 @@ near a quarter of the machine.
 """
 
 from benchmarks.conftest import save_and_print
-from repro.experiments.figures import fig17
+from repro.experiments.figures import regenerate
 from repro.experiments.report import render_figure, shape_checks
 
 
 def test_fig17(benchmark, results_dir, bench_cfg):
-    fig = benchmark.pedantic(fig17, args=(bench_cfg,), rounds=1, iterations=1)
+    (fig,) = benchmark.pedantic(
+        regenerate, args=(["fig17"], bench_cfg), rounds=1, iterations=1
+    )
     checks = shape_checks(fig)
     text = render_figure(fig) + "\n\nshape checks:\n" + "\n".join(
         f"  {c}" for c in checks

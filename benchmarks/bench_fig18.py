@@ -6,12 +6,14 @@ locality edge -- see EXPERIMENTS.md).
 """
 
 from benchmarks.conftest import save_and_print
-from repro.experiments.figures import fig18
+from repro.experiments.figures import regenerate
 from repro.experiments.report import render_figure, shape_checks
 
 
 def test_fig18(benchmark, results_dir, bench_cfg):
-    fig = benchmark.pedantic(fig18, args=(bench_cfg,), rounds=1, iterations=1)
+    (fig,) = benchmark.pedantic(
+        regenerate, args=(["fig18"], bench_cfg), rounds=1, iterations=1
+    )
     checks = shape_checks(fig)
     text = render_figure(fig) + "\n\nshape checks:\n" + "\n".join(
         f"  {c}" for c in checks

@@ -6,12 +6,14 @@ matches DMIN under heavy load.
 """
 
 from benchmarks.conftest import save_and_print
-from repro.experiments.figures import fig20
+from repro.experiments.figures import regenerate
 from repro.experiments.report import render_figure, shape_checks
 
 
 def test_fig20(benchmark, results_dir, bench_cfg):
-    fig = benchmark.pedantic(fig20, args=(bench_cfg,), rounds=1, iterations=1)
+    (fig,) = benchmark.pedantic(
+        regenerate, args=(["fig20"], bench_cfg), rounds=1, iterations=1
+    )
     checks = shape_checks(fig)
     text = render_figure(fig) + "\n\nshape checks:\n" + "\n".join(
         f"  {c}" for c in checks

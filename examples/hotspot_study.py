@@ -15,10 +15,10 @@ import sys
 from dataclasses import replace
 
 from repro.experiments.config import SCALED
-from repro.experiments.figures import FOUR_NETWORKS, hotspot_workload
+from repro.experiments.figures import FOUR_NETWORKS
 from repro.experiments.report import render_sweep
 from repro.experiments.runner import sweep
-from repro.traffic.clusters import global_cluster
+from repro.experiments.workload_spec import WorkloadSpec
 
 
 def main() -> None:
@@ -37,7 +37,7 @@ def main() -> None:
         warmup_packets=200,
         measure_packets=800,
     )
-    wb = hotspot_workload(global_cluster(), x, cfg)
+    wb = WorkloadSpec(pattern="hotspot", hot_fraction=x).builder(cfg)
     for net in FOUR_NETWORKS:
         print(render_sweep(sweep(net, wb, cfg, label=net.label)))
         print()

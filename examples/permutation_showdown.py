@@ -12,12 +12,9 @@ Run:  python examples/permutation_showdown.py
 from dataclasses import replace
 
 from repro.experiments.config import SCALED
-from repro.experiments.figures import (
-    FOUR_NETWORKS,
-    butterfly_workload,
-    shuffle_workload,
-)
+from repro.experiments.figures import FOUR_NETWORKS
 from repro.experiments.runner import run_point
+from repro.experiments.workload_spec import WorkloadSpec
 from repro.topology.equivalence import admissible, max_channel_contention
 from repro.topology.mins import cube_min
 from repro.topology.permutations import ButterflyPermutation, PerfectShuffle
@@ -50,8 +47,8 @@ def main() -> None:
     cfg = replace(SCALED, warmup_packets=200, measure_packets=1000)
     load = 0.9
     for wb_name, wb in (
-        ("shuffle", shuffle_workload(cfg)),
-        ("2nd butterfly", butterfly_workload(cfg, i=2)),
+        ("shuffle", WorkloadSpec(pattern="shuffle").builder(cfg)),
+        ("2nd butterfly", WorkloadSpec(pattern="butterfly", butterfly_i=2).builder(cfg)),
     ):
         print(f"simulated at offered load {load:.0%} ({wb_name} pattern):")
         for net in FOUR_NETWORKS:

@@ -8,9 +8,10 @@
   one helper per optional layer (retry, MTBF churn, transport,
   admission/governor, watchdog) and one warm-up/measure loop; plus
   :func:`run_point` and whole offered-load sweeps;
-* :mod:`repro.experiments.figures` -- one builder per evaluation figure
-  (Fig. 16 through Fig. 20), each returning a
-  :class:`~repro.experiments.figures.FigureResult` with all series;
+* :mod:`repro.experiments.figures` -- the evaluation figures (Fig. 16
+  through Fig. 20) as data, and :func:`regenerate`, which serves their
+  series on one sweep service and returns one
+  :class:`~repro.experiments.figures.FigureResult` per figure;
 * :mod:`repro.experiments.report` -- aligned text tables and the
   shape-checks recorded in EXPERIMENTS.md;
 * :mod:`repro.experiments.availability` -- degradation sweeps
@@ -26,8 +27,9 @@
   :mod:`repro.obs` observability subsystem attached (contention
   ledgers, latency histograms, optional Perfetto trace).
 
-Command line: ``python -m repro.experiments --figure 18 --mode scaled``
-(or ``--availability`` / ``--stability``).
+Command line: ``python -m repro.experiments --figure fig18 --mode scaled``
+(or ``--all`` / ``--availability`` / ``--stability`` / ``--direct`` /
+``--transport``).
 """
 
 from repro.experiments.config import (
@@ -37,15 +39,7 @@ from repro.experiments.config import (
     NetworkConfig,
     RunConfig,
 )
-from repro.experiments.figures import (
-    FIGURE_BUILDERS,
-    FigureResult,
-    fig16,
-    fig17,
-    fig18,
-    fig19,
-    fig20,
-)
+from repro.experiments.figures import FIGURES, Figure, FigureResult, regenerate
 from repro.experiments.runner import (
     LoadPoint,
     PointTimeout,
@@ -103,7 +97,8 @@ __all__ = [
     "SATURATION_STATUSES",
     "StabilityPoint",
     "StabilityResult",
-    "FIGURE_BUILDERS",
+    "FIGURES",
+    "Figure",
     "FULL_FIDELITY",
     "FigureResult",
     "LoadPoint",
@@ -123,13 +118,9 @@ __all__ = [
     "ascii_curve_plot",
     "parallel_matrix",
     "parallel_sweep",
-    "fig16",
-    "fig17",
-    "fig18",
-    "fig19",
-    "fig20",
     "find_saturation",
     "plot_figure",
+    "regenerate",
     "render_figure",
     "render_stability",
     "run_point",

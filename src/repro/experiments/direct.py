@@ -8,25 +8,27 @@ panel is the paper's 64-node geometry (``4^3``) in four flavours::
     MESH3D(4^3, dor)      MESH3D(4^3, adaptive)
     TORUS3D(4^3, dor)     TORUS3D(4^3, adaptive)
 
-:func:`direct_comparison` reuses the standard :func:`sweep` runner, so
-every point goes through the identical warmup/measure protocol (and the
-identical seeds) as the MIN figures.  :func:`direct_checks` asserts the
-qualitative shape the topologies guarantee: every point measures, every
-load delivers (the escape fallback keeps every header routable, so no
-deadlock wedges a run), nothing is dropped without faults, and deep in
-the linear regime the torus' wrap links must not make latency *worse*
-than the mesh's under the same router.
+:func:`direct_comparison` serves the panel as one job on the sweep
+service, like the MIN figures, so every point goes through the
+identical warmup/measure protocol (and the identical seeds).
+:func:`direct_checks` asserts the qualitative shape the topologies
+guarantee: every point measures, every load delivers (the escape
+fallback keeps every header routable, so no deadlock wedges a run),
+nothing is dropped without faults, and deep in the linear regime the
+torus' wrap links must not make latency *worse* than the mesh's under
+the same router.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from repro.experiments.config import NetworkConfig, RunConfig
 from repro.experiments.report import ShapeCheck, render_sweep
-from repro.experiments.runner import SweepResult, sweep
+from repro.experiments.runner import SweepResult
 from repro.experiments.workload_spec import WorkloadSpec
+from repro.wormhole.engine import resolve_engine
 
 #: The default comparison panel: (kind, router) pairs.
 DIRECT_PANEL = (
@@ -71,20 +73,26 @@ def direct_comparison(
     pattern: str = "uniform",
     engine: Optional[str] = None,
 ) -> list[DirectSeries]:
-    """Sweep every panel config over the offered-load ladder."""
+    """Sweep every panel config over the offered-load ladder, served as
+    one job (the workload's geometry follows each config).  A failed
+    point comes back as ``LoadPoint(load, None, error)``."""
+    from repro.experiments.parallel import serve_sweeps
+    from repro.serve.job import JobSpec
+
     if configs is None:
         configs = direct_configs()
-    series = []
-    for cfg in configs:
-        spec = WorkloadSpec(pattern=pattern, k=cfg.k, n=cfg.n)
-        series.append(
-            DirectSeries(
-                cfg,
-                sweep(cfg, spec.builder(run_cfg), run_cfg,
-                      loads=loads, engine=engine),
-            )
-        )
-    return series
+    job = JobSpec(
+        tuple(configs),
+        run_cfg,
+        WorkloadSpec(pattern=pattern),
+        loads=tuple(loads or ()),
+        engine=resolve_engine(engine),
+    )
+    (results,) = serve_sweeps([job])
+    return [
+        DirectSeries(cfg, replace(result, label=cfg.label))
+        for cfg, result in zip(configs, results)
+    ]
 
 
 def render_direct(series: Sequence[DirectSeries]) -> str:

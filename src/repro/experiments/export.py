@@ -2,7 +2,7 @@
 
 Every regenerated figure can be dumped for downstream plotting::
 
-    fig = fig18(SCALED)
+    (fig,) = regenerate(["fig18"], SCALED)
     write_figure_csv(fig, "fig18.csv")
     write_figure_json(fig, "fig18.json")
 

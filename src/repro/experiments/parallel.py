@@ -2,14 +2,16 @@
 
 Simulation points are pure functions of picklable configuration
 (:class:`NetworkConfig`, :class:`WorkloadSpec`, :class:`RunConfig`,
-offered load), so a sweep -- or a whole figure's worth of sweeps --
+offered load), so a sweep -- or every figure's worth of sweeps --
 parallelizes across processes.  :func:`parallel_sweep` and
 :func:`parallel_matrix` are thin clients of :mod:`repro.serve`: they
 describe the grid as a :class:`~repro.serve.job.JobSpec`, serve it on
 a :class:`~repro.serve.service.SweepService`, and map the manifest
-back to :class:`~repro.experiments.runner.SweepResult`.  Results are
-bit-identical to the sequential runner (same point pipeline, same
-seeds); only wall-clock changes.
+back to :class:`~repro.experiments.runner.SweepResult`;
+:func:`serve_sweeps` serves several such jobs on one worker pool (the
+figures and the direct sweep use it).  Results are bit-identical to
+the sequential runner (same point pipeline, same seeds); only
+wall-clock changes.
 
     spec = WorkloadSpec(pattern="uniform")
     result = parallel_sweep(NetworkConfig("dmin"), spec, SCALED)
@@ -45,7 +47,7 @@ from repro.experiments.workload_spec import WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.serve.cache import ResultCache
-    from repro.serve.job import JobManifest
+    from repro.serve.job import JobManifest, JobSpec
 
 #: Progress callback ``progress(done, total, label)`` invoked in the
 #: parent after every settled point (cache hits included).  Use
@@ -97,27 +99,46 @@ def parallel_matrix(
 ) -> list[SweepResult]:
     """Every (network, load) point of a comparison as one served job."""
     from repro.serve.job import JobSpec
-    from repro.serve.service import SweepService
-    from repro.serve.supervisor import SupervisePolicy
     from repro.wormhole.engine import resolve_engine
 
-    loads = tuple(loads or run_cfg.loads)
     job = JobSpec(
         networks=tuple(networks),
         run=run_cfg,
         workload=spec,
-        loads=loads,
+        loads=tuple(loads or run_cfg.loads),
         engine=resolve_engine(None),
     )
-    workers = min(max_workers or os.cpu_count() or 1, len(networks) * len(loads))
+    return serve_sweeps([job], max_workers, timeout, cache, progress)[0]
+
+
+def serve_sweeps(
+    jobs: Sequence["JobSpec"],
+    max_workers: Optional[int] = None,
+    timeout: Optional[float] = None,
+    cache: Union[None, str, Path] = None,
+    progress: Optional[ProgressFn] = None,
+) -> list[list[SweepResult]]:
+    """Serve single-seed jobs on one service; per job, one sweep per network.
+
+    All jobs share one supervised pool and one dedupe pass, so a point
+    that several jobs request is computed once.
+    """
+    from repro.serve.service import SweepService
+    from repro.serve.supervisor import SupervisePolicy
+
+    size = sum(len(job.networks) * len(job.effective_loads) for job in jobs)
+    workers = min(max_workers or os.cpu_count() or 1, size)
     policy = SupervisePolicy(workers=max(1, workers), point_timeout=timeout)
     with tempfile.TemporaryDirectory(prefix="repro-sweep-") as scratch:
         root = Path(cache) if cache is not None else Path(scratch)
         service = SweepService(
             root, policy=policy, job_root=root / "jobs", progress=progress
         )
-        manifest = service.run_job_sync(job)
-        return sweep_results(manifest, service.cache, len(loads))
+        manifests = service.run_jobs_sync(jobs)
+        return [
+            sweep_results(manifest, service.cache, len(job.effective_loads))
+            for job, manifest in zip(jobs, manifests)
+        ]
 
 
 def sweep_results(

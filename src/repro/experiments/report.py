@@ -62,7 +62,10 @@ def render_figure(fig: FigureResult) -> str:
     body = [render_sweep(s) for s in fig.series]
     summary = ["", "max sustained throughput per series:"]
     for s in fig.series:
-        summary.append(f"  {s.label:<35} {s.max_sustained_throughput():6.2f}%")
+        if s.complete:
+            summary.append(f"  {s.label:<35} {s.max_sustained_throughput():6.2f}%")
+        else:
+            summary.append(f"  {s.label:<35} INCOMPLETE")
     return "\n".join(header) + "\n\n".join(body) + "\n".join(summary)
 
 
@@ -84,13 +87,23 @@ def _thr(fig: FigureResult, label: str) -> float:
 
 
 def shape_checks(fig: FigureResult) -> list[ShapeCheck]:
-    """Evaluate the paper's qualitative claims for one figure."""
+    """Evaluate the paper's qualitative claims for one figure.
+
+    A figure with failed points has no curves to judge: every
+    incomplete series yields one failing check naming its errors.
+    """
     checks: list[ShapeCheck] = []
 
     def check(claim: str, passed: bool, detail: str) -> None:
         checks.append(ShapeCheck(claim, passed, detail))
 
-    if fig.figure_id == "fig16":
+    if not fig.complete:
+        for s in fig.series:
+            if not s.complete:
+                errors = "; ".join(f"load {ld:g}: {err}" for ld, err in s.errors())
+                check(f"{s.label}: every point measured", False, errors)
+
+    elif fig.figure_id == "fig16":
         cube_g = _thr(fig, "cube TMIN / global")
         butt_g = _thr(fig, "butterfly TMIN / global")
         check(

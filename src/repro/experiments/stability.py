@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.experiments.config import NetworkConfig, RunConfig
 from repro.experiments.report import ShapeCheck
@@ -45,6 +45,9 @@ from repro.stability import (
     analyze_series,
     classify,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.experiments.workload_spec import WorkloadSpec
 
 #: Knee multiples the stability figure sweeps: below, at, and past
 #: saturation (the acceptance floor is 1.2x; 1.5x probes deeper).
@@ -101,13 +104,15 @@ def stability_point(
     watchdog: bool = True,
     batches: int = DEFAULT_BATCHES,
     engine: Optional[str] = None,
+    workload: Optional["WorkloadSpec"] = None,
 ) -> StabilityPoint:
     """Measure one overloaded point with the full stability toolkit.
 
     ``knee_throughput`` is the saturation-knee throughput in flits per
-    node-cycle (None skips the collapse classification).  The run is
-    bounded in *memory* by the admission capacity and in *time* by
-    ``run_cfg.max_cycles`` of measurement after at most a quarter of
+    node-cycle (None skips the collapse classification).  ``workload``
+    defaults to global uniform traffic on the network's geometry.  The
+    run is bounded in *memory* by the admission capacity and in *time*
+    by ``run_cfg.max_cycles`` of measurement after at most a quarter of
     that again in warmup -- overload can no longer stretch either.
     """
     if offered_load <= 0:
@@ -126,8 +131,9 @@ def stability_point(
     )
     if watchdog:
         sim.retry(OVERLOAD_RETRY)
-    spec = WorkloadSpec(k=network.k, n=network.n)
-    sim.install(spec.builder(run_cfg)(offered_load))
+    if workload is None:
+        workload = WorkloadSpec(k=network.k, n=network.n)
+    sim.install(workload.builder(run_cfg)(offered_load))
     # Warm-up is bounded in cycles as well as packets, and past the knee
     # the cycle bound is the binding one -- exactly the point (bounded
     # time).

@@ -1,10 +1,11 @@
 """Declarative, picklable workload descriptions.
 
-The figure builders use closures as workload builders, which cannot
-cross process boundaries.  A :class:`WorkloadSpec` is a frozen record
-naming the same workloads (pattern + clustering + parameters); it
-rebuilds the identical closure on demand, so single-process and
-multi-process sweeps are bit-identical.
+The runner consumes closures as workload builders, which cannot cross
+process boundaries.  A :class:`WorkloadSpec` is a frozen record naming
+a workload (pattern + clustering + parameters); it rebuilds the
+identical closure on demand, so single-process and multi-process sweeps
+are bit-identical.  The figures and the sweep service describe every
+workload this way.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ CLUSTERINGS = ("global", "cluster16", "cluster16-shared", "cluster32")
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """A named workload: everything the figure builders can express."""
+    """A named workload: everything the paper's figures sweep."""
 
     pattern: str = "uniform"
     clustering: str = "global"

@@ -63,6 +63,7 @@ def run_point_spec(point: PointSpec) -> dict:
             watchdog=stab["watchdog"],
             batches=stab["batches"],
             engine=point.engine,
+            workload=point.workload,
         )
         return {
             "version": PAYLOAD_VERSION,

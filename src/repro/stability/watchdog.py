@@ -38,7 +38,7 @@ lane counters.
 
 Overhead when armed: one Python call per cycle plus an
 O(in-flight-worms) sweep every ``check_every`` cycles;
-``benchmarks/bench_stability.py`` gates it at <= 5%.
+``benchmarks/bench_overhead.py stability`` gates it at <= 5%.
 """
 
 from __future__ import annotations

@@ -85,11 +85,10 @@ def _simulate(network_kind, wb, load, measure=400):
 
 def test_simulator_respects_hot_spot_cap():
     from repro.experiments.config import SMOKE
-    from repro.experiments.figures import hotspot_workload
-    from repro.traffic.clusters import global_cluster
+    from repro.experiments.workload_spec import WorkloadSpec
 
     cfg = replace(SMOKE, measure_packets=500)
-    wb = hotspot_workload(global_cluster(), 0.10, cfg)
+    wb = WorkloadSpec(pattern="hotspot", hot_fraction=0.10).builder(cfg)
     m = _simulate("dmin", wb, 0.6, measure=500)
     # Allow transient slack: the window may drain queued pre-window
     # traffic, but steady state cannot exceed the cap by much.
@@ -98,10 +97,10 @@ def test_simulator_respects_hot_spot_cap():
 
 def test_simulator_respects_permutation_cap():
     from repro.experiments.config import SMOKE
-    from repro.experiments.figures import shuffle_workload
+    from repro.experiments.workload_spec import WorkloadSpec
 
     cfg = replace(SMOKE, measure_packets=500)
-    wb = shuffle_workload(cfg)
+    wb = WorkloadSpec(pattern="shuffle").builder(cfg)
     for kind, channels in (("tmin", 1), ("vmin", 2), ("dmin", 2)):
         m = _simulate(kind, wb, 0.9, measure=500)
         # VMIN's fair flit-multiplexing cannot beat the single wire:

@@ -71,7 +71,7 @@ def test_spec_clusters():
 
 
 def test_spec_builder_matches_figure_builder():
-    """The spec rebuilds the exact closure the figure builders use:
+    """The spec rebuilds the exact closure ``uniform_workload`` makes:
     identical measurements."""
     from repro.experiments.figures import uniform_workload
     from repro.experiments.runner import run_point
@@ -112,6 +112,33 @@ def test_parallel_matrix_structure():
     # Matrix points equal per-network parallel sweeps.
     solo = parallel_sweep(nets[1], spec, QUICK, max_workers=2)
     assert results[1].points == solo.points
+
+
+def test_jobs_on_one_service_share_points(tmp_path, monkeypatch):
+    """serve_sweeps dedupes across jobs: a point two jobs request is
+    simulated once, and each job still gets its own manifest."""
+    from repro.experiments.parallel import serve_sweeps
+    from repro.serve.job import JobSpec
+
+    counts = tmp_path / "counts"
+    counts.mkdir()
+    monkeypatch.setenv("REPRO_COUNT_DIR", str(counts))
+    monkeypatch.setattr(compute, "run_point", counting_run_point)
+    net = NetworkConfig("dmin", k=2, n=3)
+    spec = WorkloadSpec(k=2, n=3)
+    jobs = [
+        JobSpec((net,), QUICK, spec, loads=(0.2, 0.5)),
+        JobSpec((net,), QUICK, spec, loads=(0.5,)),
+    ]
+    (first,), (second,) = serve_sweeps(jobs, max_workers=2)
+    assert first.points[1] == second.points[0]
+    assert first.dispatch.job_id != second.dispatch.job_id
+    assert second.dispatch.counts["requested"] == 1
+    tallies = {p.name: len(p.read_text().splitlines())
+               for p in counts.iterdir()}
+    assert tallies == {"0.2": 1, "0.5": 1}
+    seq = sweep(net, spec.builder(QUICK), QUICK)
+    assert first.points == seq.points
 
 
 # --------------------------------------------------------- crash tolerance

@@ -7,6 +7,7 @@ normalization (two spellings of one config cannot split keys), job_id
 stability for pre-existing plain jobs, and deterministic payloads.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -133,3 +134,15 @@ def test_payload_is_deterministic(payload):
 
 def test_payload_is_json_serializable(payload):
     json.loads(payload_json(payload))
+
+
+def test_stability_point_runs_its_own_workload(payload):
+    """The point simulates the workload it is keyed by: a hotspot point
+    differs from its uniform twin in key *and* in measurement."""
+    (uniform,) = spec_with({"capacity": 64}).points()
+    hot = dataclasses.replace(
+        uniform,
+        workload=WorkloadSpec(pattern="hotspot", hot_fraction=0.25, k=2, n=3),
+    )
+    assert hot.key() != uniform.key()
+    assert run_point_spec(hot)["measurement"] != payload["measurement"]

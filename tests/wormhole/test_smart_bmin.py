@@ -14,7 +14,7 @@ point, made measurable.
 from dataclasses import replace
 
 from repro.experiments.config import SMOKE
-from repro.experiments.figures import shuffle_workload
+from repro.experiments.workload_spec import WorkloadSpec
 from repro.experiments.runner import run_until
 from repro.metrics.collector import MeasurementWindow
 from repro.sim import Environment
@@ -89,7 +89,7 @@ def test_smart_beats_random_under_shuffle():
             cls(BidirectionalMIN(4, 3)),
             rng=RandomStream(cfg.seed),
         )
-        wl = shuffle_workload(cfg)(0.7)
+        wl = WorkloadSpec(pattern="shuffle").builder(cfg)(0.7)
         wl.install(env, eng, RandomStream(cfg.seed + 1))
         eng.start()
         stats = eng.stats

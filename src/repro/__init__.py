@@ -10,7 +10,7 @@ evaluation harness that regenerates Figures 16-20.
 Typical entry points::
 
     from repro import build_network, WormholeEngine, Environment
-    from repro.experiments import fig18, SCALED, render_figure
+    from repro.experiments import regenerate, SCALED, render_figure
 
     env = Environment()
     engine = WormholeEngine(env, build_network("dmin", k=4, n=3))

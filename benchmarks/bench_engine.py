@@ -6,8 +6,9 @@ Two harnesses share this module:
   per second for each network kind under a fixed uniform load, and the
   cost of network construction;
 * a CLI perf gate (``python benchmarks/bench_engine.py``) that times
-  the N=64 uniform-traffic load sweep under all three engine tiers
-  (reference, fast, batch), records the schema-2 result in
+  N=64 uniform-traffic load sweeps (DMIN, and VMIN's shared-wire
+  channel sweep) under all three engine tiers (reference, fast,
+  batch), records the schema-3 result in
   ``benchmarks/BENCH_engine.json``, and -- with ``--check`` -- fails
   when an absolute tier gate breaks (batch >= 10x reference on the
   sweep; batch >= 3x fast on the streaming point) or any recorded
@@ -97,21 +98,28 @@ def test_single_packet_end_to_end(benchmark):
 
 # ------------------------------------------------------------ CLI perf gate
 #
-# Schema 2 (three engine tiers).  Two scenarios, both the paper's N=64
-# uniform-traffic DMIN geometry with paper-fidelity 1024-flit messages
-# (the paper's longest; the figures fix the message length per curve):
+# Schema 3 (three engine tiers).  Three scenarios, all the paper's N=64
+# uniform-traffic geometry with paper-fidelity 1024-flit messages (the
+# paper's longest; the figures fix the message length per curve):
 #
-# * ``sweep``     -- the offered-load ladder.  Gate: batch >= 10x
+# * ``sweep``     -- the DMIN offered-load ladder.  Gate: batch >= 10x
 #                    reference.
-# * ``streaming`` -- the load-0.1 point alone: long wormholes streaming
-#                    through a quiet network, the regime the batch
-#                    tier's span-sleep kernel targets.  Gate: batch
-#                    >= 3x fast.
+# * ``streaming`` -- the DMIN load-0.1 point alone: long wormholes
+#                    streaming through a quiet network, the regime the
+#                    batch tier's span-sleep kernel targets.  Gate:
+#                    batch >= 3x fast.
+# * ``vmin``      -- a light and a heavy VMIN point: two lanes share
+#                    every wire, so the fast tier's round-robin channel
+#                    sweep does the work.  No absolute floor; its
+#                    ``*_over_reference`` ratios fall under the
+#                    regression rule.
 #
-# ``--check`` re-times both scenarios and fails when either absolute
-# gate breaks or any recorded ratio regressed more than ``--tolerance``
-# against the committed baseline.  Gating ratios (not seconds) keeps
-# the check stable across machines of different speed.
+# Each scenario is best-of-``--repeats`` per tier, the tiers taking
+# turns within each repeat.  ``--check`` re-times every scenario and
+# fails when either absolute gate breaks or any gated ratio regressed
+# more than ``--tolerance`` against the committed baseline.  Gating
+# ratios (not seconds) keeps the check stable across machines of
+# different speed.
 
 #: Absolute floors the ISSUE's acceptance criteria name.
 GATE_SWEEP_BATCH_OVER_REFERENCE = 10.0
@@ -119,6 +127,7 @@ GATE_STREAMING_BATCH_OVER_FAST = 3.0
 
 SWEEP_LOADS = (0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
 STREAMING_LOADS = (0.1,)
+VMIN_LOADS = (0.2, 0.6)
 _MESSAGE_FLITS = 1024
 _WARMUP_PACKETS = 60
 _MEASURE_PACKETS = 300
@@ -140,10 +149,11 @@ def _bench_cfg():
     )
 
 
-def _sweep_seconds(
-    engine_name: str, loads: tuple, repeats: int
-) -> tuple[float, object]:
-    """Best-of-``repeats`` wall-clock of the N=64 uniform DMIN sweep."""
+TIERS = ("reference", "fast", "batch")
+
+
+def _sweep_seconds(engine_name: str, loads: tuple, kind: str) -> tuple[float, object]:
+    """Wall-clock of one N=64 uniform-traffic sweep, and its result."""
     import time
 
     from repro.experiments.config import NetworkConfig
@@ -151,25 +161,30 @@ def _sweep_seconds(
     from repro.experiments.workload_spec import WorkloadSpec
 
     cfg = _bench_cfg()
-    network = NetworkConfig("dmin")  # N = 64 (k=4, n=3)
+    network = NetworkConfig(kind)  # N = 64 (k=4, n=3)
     builder = WorkloadSpec(pattern="uniform").builder(cfg)
-    best = float("inf")
-    result = None
     clock = time.perf_counter  # lint-sim: ignore[RPV002] -- harness wall time
+    t0 = clock()
+    result = sweep(network, builder, cfg, loads=loads, label="bench", engine=engine_name)
+    return clock() - t0, result
+
+
+def _time_scenario(loads: tuple, repeats: int, kind: str = "dmin") -> dict:
+    """Best-of-``repeats`` time of all three engines on one load set;
+    assert they agree.
+
+    The tiers take turns within each repeat, so a drift in host speed
+    during the scenario hits every tier alike instead of skewing their
+    ratios.
+    """
+    best = dict.fromkeys(TIERS, float("inf"))
+    results = {}
     for _ in range(repeats):
-        t0 = clock()
-        result = sweep(
-            network, builder, cfg, loads=loads, label="bench", engine=engine_name
-        )
-        best = min(best, clock() - t0)
-    return best, result
-
-
-def _time_scenario(loads: tuple, repeats: int) -> dict:
-    """Time all three engines on one load set; assert they agree."""
-    ref_s, ref = _sweep_seconds("reference", loads, repeats)
-    fast_s, fast = _sweep_seconds("fast", loads, repeats)
-    batch_s, batch = _sweep_seconds("batch", loads, repeats)
+        for tier in TIERS:
+            seconds, results[tier] = _sweep_seconds(tier, loads, kind)
+            best[tier] = min(best[tier], seconds)
+    ref_s, fast_s, batch_s = (best[tier] for tier in TIERS)
+    ref, fast, batch = (results[tier] for tier in TIERS)
     assert fast.points == ref.points, (
         "fast and reference engines disagree -- run tests/differential"
     )
@@ -187,8 +202,8 @@ def _time_scenario(loads: tuple, repeats: int) -> dict:
 
 
 def run_gate(repeats: int = 3) -> dict:
-    """Time the three engine tiers on both scenarios; return the
-    JSON-ready schema-2 record."""
+    """Time the three engine tiers on every scenario; return the
+    JSON-ready schema-3 record."""
     from repro.wormhole.batch import numpy_available
 
     if not numpy_available():  # pragma: no cover - CI installs numpy
@@ -197,7 +212,7 @@ def run_gate(repeats: int = 3) -> dict:
             "(pip install repro[fast])"
         )
     return {
-        "schema": 2,
+        "schema": 3,
         "scenario": {
             "network": "dmin",
             "nodes": 64,
@@ -207,6 +222,7 @@ def run_gate(repeats: int = 3) -> dict:
             "measure_packets": _MEASURE_PACKETS,
             "sweep_loads": list(SWEEP_LOADS),
             "streaming_loads": list(STREAMING_LOADS),
+            "vmin_loads": list(VMIN_LOADS),
             "repeats": repeats,
         },
         "gates": {
@@ -215,6 +231,7 @@ def run_gate(repeats: int = 3) -> dict:
         },
         "sweep": _time_scenario(SWEEP_LOADS, repeats),
         "streaming": _time_scenario(STREAMING_LOADS, repeats),
+        "vmin": _time_scenario(VMIN_LOADS, repeats, "vmin"),
     }
 
 
@@ -262,7 +279,7 @@ def main(argv=None) -> int:
     path = pathlib.Path(__file__).parent / "BENCH_engine.json"
 
     record = run_gate(repeats=args.repeats)
-    for name in ("sweep", "streaming"):
+    for name in ("sweep", "streaming", "vmin"):
         row = record[name]
         print(
             f"{name:9s}  reference {row['reference_seconds']:6.2f}s   "
@@ -290,6 +307,8 @@ def main(argv=None) -> int:
             ("sweep", "batch_over_reference"),
             ("sweep", "fast_over_reference"),
             ("streaming", "batch_over_fast"),
+            ("vmin", "fast_over_reference"),
+            ("vmin", "batch_over_reference"),
         ):
             base = baseline[scenario][ratio]
             floor = base * (1.0 - args.tolerance)

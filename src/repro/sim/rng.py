@@ -42,40 +42,65 @@ class RandomStream:
             acc = (acc * 1099511628211) & 0xFFFFFFFFFFFFFFFF
         return acc
 
+    # -- the draw kernel --------------------------------------------------
+    #
+    # Every variate below draws through ``_randbelow`` (integers) or
+    # ``random`` (floats), which reproduce ``random.Random``'s own
+    # derivations draw for draw: a stream's results and generator state
+    # match the stdlib's for the same seed.  A subclass that serves the
+    # words another way (``repro.wormhole.batch.BatchStream``) overrides
+    # just these two and the fused ``shuffle``.
+
+    def _randbelow(self, n: int) -> int:
+        """``random.Random._randbelow(n)``: rejection on ``bit_length``."""
+        getrandbits = self._rng.getrandbits
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    def random(self) -> float:
+        """Uniform float on [0, 1)."""
+        return self._rng.random()
+
     # -- variates ---------------------------------------------------------
 
     def exponential(self, mean: float) -> float:
         """Negative-exponential variate with the given mean (> 0)."""
         if mean <= 0:
             raise ValueError("mean must be positive")
-        u = self._rng.random()
+        u = self.random()
         while u <= 0.0:  # pragma: no cover - probability ~0
-            u = self._rng.random()
+            u = self.random()
         return -mean * math.log(u)
 
     def uniform_int(self, low: int, high: int) -> int:
         """Uniform integer on [low, high] inclusive."""
         if low > high:
             raise ValueError(f"empty range [{low}, {high}]")
-        return self._rng.randint(low, high)
+        return low + self._randbelow(high - low + 1)
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         """Uniform float on [low, high)."""
-        return low + (high - low) * self._rng.random()
-
-    def random(self) -> float:
-        """Uniform float on [0, 1)."""
-        return self._rng.random()
+        return low + (high - low) * self.random()
 
     def choice(self, seq: Sequence[T]) -> T:
         """Uniformly random element of a non-empty sequence."""
         if not seq:
             raise ValueError("cannot choose from an empty sequence")
-        return seq[self._rng.randrange(len(seq))]
+        return seq[self._randbelow(len(seq))]
 
     def shuffle(self, seq: list) -> None:
-        """In-place Fisher–Yates shuffle."""
-        self._rng.shuffle(seq)
+        """In-place Fisher–Yates shuffle, ``random.Random.shuffle``'s draws
+        with ``_randbelow`` inlined."""
+        getrandbits = self._rng.getrandbits
+        for i in range(len(seq) - 1, 0, -1):
+            k = (i + 1).bit_length()
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            seq[i], seq[j] = seq[j], seq[i]
 
     def bimodal_int(
         self, low: int, high: int, short_fraction: float, split: int
@@ -90,16 +115,16 @@ class RandomStream:
             raise ValueError("need low <= split < high")
         if not 0.0 <= short_fraction <= 1.0:
             raise ValueError("short_fraction must be in [0, 1]")
-        if self._rng.random() < short_fraction:
-            return self._rng.randint(low, split)
-        return self._rng.randint(split + 1, high)
+        if self.random() < short_fraction:
+            return low + self._randbelow(split - low + 1)
+        return split + 1 + self._randbelow(high - split)
 
     def weighted_index(self, weights: Sequence[float]) -> int:
         """Index i with probability weights[i] / sum(weights)."""
         total = float(sum(weights))
         if total <= 0:
             raise ValueError("weights must have a positive sum")
-        x = self._rng.random() * total
+        x = self.random() * total
         acc = 0.0
         for i, w in enumerate(weights):
             if w < 0:

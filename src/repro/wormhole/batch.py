@@ -79,12 +79,14 @@ class BatchStream(RandomStream):
     CPython's ``random.Random`` and numpy's ``MT19937`` bit generator
     share the exact Mersenne-Twister state layout and tempering, so a
     generator state copied via ``getstate()`` makes ``random_raw(n)``
-    produce precisely the words ``genrand_uint32`` would.  Every public
-    variate below reimplements the CPython derivation (``_randbelow``
-    rejection sampling, the 53-bit float construction) over a
-    bulk-prefetched word buffer: the stream is bit-identical, but a
-    32-entry shuffle costs one list walk instead of 31 method calls
-    into the stdlib.
+    produce precisely the words ``genrand_uint32`` would.  The stream
+    overrides only :class:`RandomStream`'s draw kernel -- ``_randbelow``
+    (over ``_getrandbits``) and ``random`` (the 53-bit float
+    construction) -- plus a ``shuffle`` and the fused ``shuffle_k`` that
+    walk the bulk-prefetched word buffer directly; every other variate
+    is inherited and draws through that kernel.  The stream is
+    bit-identical to the stdlib's, but a 32-entry shuffle costs one list
+    walk instead of 31 generator calls.
 
     Only the engine's allocation stream is adopted (workload streams
     keep the stdlib path), and the wrapped ``random.Random`` is never
@@ -160,7 +162,7 @@ class BatchStream(RandomStream):
             r = self._getrandbits(k)
         return r
 
-    def _random(self) -> float:
+    def random(self) -> float:
         """``random.Random.random()``: two words -> one 53-bit float."""
         if self._ptr + 2 > len(self._buf):
             self._refill()
@@ -170,56 +172,11 @@ class BatchStream(RandomStream):
         self._ptr += 2
         return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
 
-    # -- RandomStream surface ---------------------------------------------
-
-    def exponential(self, mean: float) -> float:
-        if mean <= 0:
-            raise ValueError("mean must be positive")
-        import math
-
-        u = self._random()
-        while u <= 0.0:  # pragma: no cover - probability ~0
-            u = self._random()
-        return -mean * math.log(u)
-
-    def uniform_int(self, low: int, high: int) -> int:
-        if low > high:
-            raise ValueError(f"empty range [{low}, {high}]")
-        return low + self._randbelow(high - low + 1)
-
-    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        return low + (high - low) * self._random()
-
-    def random(self) -> float:
-        return self._random()
-
-    def choice(self, seq):
-        if not seq:
-            raise ValueError("cannot choose from an empty sequence")
-        return seq[self._randbelow(len(seq))]
+    # -- fused Fisher-Yates over the word buffer -------------------------
 
     def shuffle(self, seq: list) -> None:
-        n = len(seq)
-        if n < 2:
-            return  # a 0/1-element Fisher-Yates draws nothing
-        buf = self._buf
-        nb = len(buf)
-        ptr = self._ptr
-        shifts = self._SHIFTS
-        for i in range(n - 1, 0, -1):
-            sh = shifts[i] if i < 4096 else 32 - (i + 1).bit_length()
-            while True:
-                if ptr >= nb:
-                    self._refill()
-                    buf = self._buf
-                    nb = len(buf)
-                    ptr = 0
-                j = buf[ptr] >> sh
-                ptr += 1
-                if j <= i:
-                    break
-            seq[i], seq[j] = seq[j], seq[i]
-        self._ptr = ptr
+        """One Fisher-Yates pass (``shuffle_k`` with ``k = 1``)."""
+        self.shuffle_k(seq, 1)
 
     def shuffle_k(self, seq: list, k: int) -> None:
         """``k`` successive Fisher-Yates passes over ``seq``, fused.
@@ -253,31 +210,6 @@ class BatchStream(RandomStream):
                         break
                 seq[i], seq[j] = seq[j], seq[i]
         self._ptr = ptr
-
-    def bimodal_int(
-        self, low: int, high: int, short_fraction: float, split: int
-    ) -> int:
-        if not (low <= split < high):
-            raise ValueError("need low <= split < high")
-        if not 0.0 <= short_fraction <= 1.0:
-            raise ValueError("short_fraction must be in [0, 1]")
-        if self._random() < short_fraction:
-            return low + self._randbelow(split - low + 1)
-        return split + 1 + self._randbelow(high - split)
-
-    def weighted_index(self, weights) -> int:
-        total = float(sum(weights))
-        if total <= 0:
-            raise ValueError("weights must have a positive sum")
-        x = self._random() * total
-        acc = 0.0
-        for i, w in enumerate(weights):
-            if w < 0:
-                raise ValueError("weights must be non-negative")
-            acc += w
-            if x < acc:
-                return i
-        return len(weights) - 1  # pragma: no cover - float edge
 
     def __repr__(self) -> str:
         return f"<BatchStream {self.name!r} seed={self.seed}>"

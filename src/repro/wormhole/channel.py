@@ -109,6 +109,7 @@ class PhysChannel:
         "lanes",
         "is_delivery",
         "rr_next",
+        "rr_orders",
         "topo_order",
         "sink",
         "meta",
@@ -139,6 +140,13 @@ class PhysChannel:
         self.sink = sink
         #: Round-robin pointer for fair flit-level multiplexing.
         self.rr_next = 0
+        #: ``rr_orders[r]`` is the round-robin scan with the pointer at
+        #: ``r``: ``(lane, pointer after serving lane)`` pairs starting at
+        #: lane ``r``, fixed at construction so the fast engine's channel
+        #: sweep arbitrates without modulo arithmetic (a one-lane wire's
+        #: only scan is ``((lane, 0),)``).
+        order = [(lane, (i + 1) % num_lanes) for i, lane in enumerate(self.lanes)]
+        self.rr_orders = tuple([tuple(order[r:] + order[:r]) for r in range(num_lanes)])
         #: Position in the reverse-topological processing order.
         self.topo_order = -1
         #: Optional network-specific metadata (the BMIN stores its
@@ -240,6 +248,12 @@ class PhysChannel:
         Lanes are served round-robin among the ready ones so that k
         active virtual channels each receive W/k bandwidth.  Returns the
         lane served, or None.
+
+        This is the reference engine's arbiter.  The fast engine's
+        channel sweep (``WormholeEngine._phase_advance_channels``)
+        inlines the same rule -- scan ``rr_orders[rr_next]``, serve the
+        first ready lane, advance the pointer past it -- and the
+        differential suite holds the two to the same flits.
         """
         if self.cooldown:
             self.cooldown -= 1

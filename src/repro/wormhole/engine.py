@@ -923,16 +923,19 @@ class WormholeEngine:
         visit order matches the reference's full ``topo_channels`` scan
         restricted to busy channels -- the same flits move.
 
-        Single-lane channels (every channel except the VMIN's
-        virtual-channel wires) take an inlined copy of
-        ``PhysChannel._lane_ready`` + ``_move``; multi-lane channels
-        keep the round-robin ``transmit()``.
+        Every wire runs one arbitration body: the round-robin of
+        ``PhysChannel.transmit`` with readiness and movement inlined,
+        scanning the precomputed ``rr_orders[rr_next]`` and serving the
+        first ready lane (a one-lane wire's scan is just ``(lane,)``).
+        The lanes served, the ``rr_next`` sequence and the event order
+        are the reference arbiter's.
         """
         pending = self._pending_route
         bus = self.bus
         obs = bus if bus.hot else None
         now = self.env.now
         active = self._active
+        progressed = False
         write = 0
         for ch in active:
             if ch.owned_count == 0:
@@ -940,14 +943,14 @@ class WormholeEngine:
                 continue
             active[write] = ch
             write += 1
-            lanes = ch.lanes
+            if ch.cooldown:  # slowed wire resting (matches transmit())
+                ch.cooldown -= 1
+                continue
             dlv = ch.is_delivery
-            if len(lanes) == 1:
-                if ch.cooldown:  # slowed wire resting (matches transmit())
-                    ch.cooldown -= 1
-                    continue
-                lane = lanes[0]
+            for lane, nxt in ch.rr_orders[ch.rr_next]:
                 p = lane.owner
+                if p is None:
+                    continue
                 ridx = lane.route_idx
                 if (
                     lane.sent >= p.length
@@ -955,41 +958,42 @@ class WormholeEngine:
                     or (lane.buf != 0 and not dlv)
                 ):
                     continue  # not ready this cycle
-                if ridx > 0:
-                    p.lanes[ridx - 1].buf -= 1
-                lane.sent += 1
-                if dlv:
-                    p.delivered_flits += 1
-                else:
-                    lane.buf += 1
-                if ch.slowdown > 1:
-                    ch.cooldown = ch.slowdown - 1
+                break
             else:
-                lane = ch.transmit()
-                if lane is None:
-                    continue
-                p = lane.owner
-                assert p is not None
-            self._progressed = True
+                continue  # no lane ready: the wire idles
+            ch.rr_next = nxt
+            if ridx > 0:
+                p.lanes[ridx - 1].buf -= 1
+            sent = lane.sent + 1
+            lane.sent = sent
+            if dlv:
+                p.delivered_flits += 1
+            else:
+                lane.buf += 1
+            if ch.slowdown > 1:
+                ch.cooldown = ch.slowdown - 1
+            progressed = True
             if obs is not None:
                 obs.publish_transmit(now, ch, lane)
             if dlv:
-                if lane.sent == p.length:
+                if sent == p.length:
                     lane.release()
                     self._lane_freed(ch)
                     if obs is not None:
                         obs.publish_release(now, p, ch, lane.index)
                     self._finalize(p)
             else:
-                if lane.sent == 1 and lane.route_idx == len(p.lanes) - 1:
+                if sent == 1 and ridx == len(p.lanes) - 1:
                     # Header just reached the next switch input buffer.
                     p.needs_route = True
                     pending.append(p)
-                if lane.sent == p.length:
+                if sent == p.length:
                     lane.release()
                     self._lane_freed(ch)
                     if obs is not None:
                         obs.publish_release(now, p, ch, lane.index)
+        if progressed:
+            self._progressed = True
         del active[write:]
         # The worm list is not consumed on this branch (the channel
         # sweep ignores it) but must stay consistent for a later switch

@@ -7,16 +7,29 @@ equal.  The grid spans all four networks, two traffic patterns, light
 and near-saturation loads, fault injection (soft + hard transient
 events, which exercise abort/materialization on the fast path), and
 runs under the runtime sanitizer (which disables the fast path's
-free-run shortcut, covering its fallback behaviour).
+free-run shortcut, covering its fallback behaviour), plus multi-lane
+wires beyond the paper's v = 2 VMIN.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.traffic.workload import MessageSizeModel
 from tests.differential.harness import (
+    CFG,
     NETWORK_KINDS,
     assert_identical,
+)
+
+#: Long worms in a short window: few packets, many flits each.
+LONG_CFG = replace(
+    CFG,
+    warmup_packets=20,
+    measure_packets=120,
+    sizes=MessageSizeModel("uniform", 64, 256),
 )
 
 
@@ -56,3 +69,27 @@ def test_sanitized_identity(kind: str, pattern: str) -> None:
 def test_sanitized_faulted_identity(kind: str) -> None:
     """Sanitizer and fault injection together (4 cases)."""
     assert_identical(kind, "uniform", 0.7, faults=True, sanitize=True)
+
+
+@pytest.mark.parametrize(
+    "kind,load,options",
+    [
+        ("vmin", 0.7, {"net_kwargs": {"virtual_channels": 3}}),
+        ("vmin", 0.7, {"net_kwargs": {"virtual_channels": 4}}),
+        ("vmin", 0.2, {"run_cfg": LONG_CFG}),
+        ("vmin", 1.0, {"run_cfg": LONG_CFG}),
+        ("bmin", 0.7, {"net_kwargs": {"bmin_virtual_channels": 2}}),
+    ],
+    ids=["vmin-v3", "vmin-v4", "vmin-long-0.2", "vmin-long-1.0", "bmin-v2"],
+)
+def test_multi_lane_identity(kind: str, load: float, options: dict) -> None:
+    """Shared wires the main grid does not reach (5 cases).
+
+    The fast channel sweep inlines ``PhysChannel.transmit``'s round
+    robin over precomputed scan orders; the reference calls it.  v = 3
+    and 4 wrap the pointer across more than two lanes; 64-256-flit VMIN
+    worms release tails onto wires other worms still share, leave their
+    last flit in lanes a new owner re-acquires, and share delivery wires
+    for hundreds of cycles; BMIN runs with two lanes per wire.
+    """
+    assert_identical(kind, "uniform", load, **options)

@@ -1,5 +1,7 @@
 """Tests for the reproducible random streams."""
 
+import math
+import random
 import statistics
 
 import pytest
@@ -144,3 +146,74 @@ def test_uniform_int_in_bounds_property(low, width):
     rs = RandomStream(low * 31 + width)
     x = rs.uniform_int(low, low + width)
     assert low <= x <= low + width
+
+
+# -- the draw kernel is the stdlib's, draw for draw ----------------------
+#
+# RandomStream derives every variate itself (an inlined Fisher-Yates, one
+# ``_randbelow``); these pin each derivation to ``random.Random`` on the
+# same seed -- results *and* final generator state -- for sizes 0..70,
+# which cross the 2**k boundaries where rejection sampling changes width.
+
+KERNEL_SEEDS = range(12)
+KERNEL_SIZES = range(71)
+
+
+def _pair(seed):
+    return RandomStream(seed), random.Random(seed)  # lint-sim: ignore[RPV001]
+
+
+def _same_state(rs, ref):
+    assert rs._rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("seed", KERNEL_SEEDS)
+def test_shuffle_matches_stdlib(seed):
+    rs, ref = _pair(seed)
+    for n in KERNEL_SIZES:
+        a, b = list(range(n)), list(range(n))
+        rs.shuffle(a)
+        ref.shuffle(b)
+        assert a == b, n
+    _same_state(rs, ref)
+
+
+@pytest.mark.parametrize("seed", KERNEL_SEEDS)
+def test_choice_and_uniform_int_match_stdlib(seed):
+    rs, ref = _pair(seed)
+    for n in KERNEL_SIZES[1:]:
+        seq = list(range(n))
+        assert rs.choice(seq) == ref.choice(seq), n
+        assert rs.uniform_int(-3, n - 4) == ref.randint(-3, n - 4), n
+    _same_state(rs, ref)
+
+
+@pytest.mark.parametrize("seed", KERNEL_SEEDS)
+def test_bimodal_int_matches_stdlib(seed):
+    rs, ref = _pair(seed)
+    for split in KERNEL_SIZES[1:]:
+        high = split + 1 + split // 2
+        got = rs.bimodal_int(1, high, 0.4, split)
+        if ref.random() < 0.4:
+            want = ref.randint(1, split)
+        else:
+            want = ref.randint(split + 1, high)
+        assert got == want, split
+    _same_state(rs, ref)
+
+
+@pytest.mark.parametrize("seed", KERNEL_SEEDS)
+def test_float_variates_match_stdlib(seed):
+    rs, ref = _pair(seed)
+    for n in KERNEL_SIZES[1:]:
+        assert rs.exponential(n) == -n * math.log(ref.random())
+        # Integer weights (zeros included) keep the cumulative sums exact,
+        # so ``choices``' bisection is the same rule as weighted_index.
+        weights = [(i * 7 + seed) % 5 for i in range(n)]
+        if sum(weights) == 0:
+            continue
+        assert rs.weighted_index(weights) == ref.choices(
+            range(n), weights=weights
+        )[0], n
+        assert rs.uniform(2.0, 5.0) == 2.0 + 3.0 * ref.random()
+    _same_state(rs, ref)

@@ -7,12 +7,12 @@ Two harnesses share this module:
   cost of network construction;
 * a CLI perf gate (``python benchmarks/bench_engine.py``) that times
   N=64 uniform-traffic load sweeps (DMIN, and VMIN's shared-wire
-  channel sweep) under all three engine tiers (reference, fast,
-  batch), records the schema-3 result in
-  ``benchmarks/BENCH_engine.json``, and -- with ``--check`` -- fails
-  when an absolute tier gate breaks (batch >= 10x reference on the
-  sweep; batch >= 3x fast on the streaming point) or any recorded
-  ratio regressed more than 20% against the committed baseline.  The
+  channel sweep) under both engine tiers (reference, fast), records
+  the schema-4 result in ``benchmarks/BENCH_engine.json``, and -- with
+  ``--check`` -- fails when an absolute tier gate breaks (fast >= 10x
+  reference on the sweep; fast >= 20x reference on the streaming
+  point) or any recorded ratio regressed more than 20% against the
+  committed baseline.  The
   gate compares *ratios*, not absolute seconds, so it is stable across
   machines of different speed (CI runners vs. laptops).
 
@@ -98,32 +98,32 @@ def test_single_packet_end_to_end(benchmark):
 
 # ------------------------------------------------------------ CLI perf gate
 #
-# Schema 3 (three engine tiers).  Three scenarios, all the paper's N=64
+# Schema 4 (two engine tiers).  Three scenarios, all the paper's N=64
 # uniform-traffic geometry with paper-fidelity 1024-flit messages (the
 # paper's longest; the figures fix the message length per curve):
 #
-# * ``sweep``     -- the DMIN offered-load ladder.  Gate: batch >= 10x
+# * ``sweep``     -- the DMIN offered-load ladder.  Gate: fast >= 10x
 #                    reference.
 # * ``streaming`` -- the DMIN load-0.1 point alone: long wormholes
 #                    streaming through a quiet network, the regime the
-#                    batch tier's span-sleep kernel targets.  Gate:
-#                    batch >= 3x fast.
+#                    fast tier's free-run fast-forward and span-skipping
+#                    clock target.  Gate: fast >= 20x reference.
 # * ``vmin``      -- a light and a heavy VMIN point: two lanes share
 #                    every wire, so the fast tier's round-robin channel
 #                    sweep does the work.  No absolute floor; its
-#                    ``*_over_reference`` ratios fall under the
+#                    ``fast_over_reference`` ratio falls under the
 #                    regression rule.
 #
 # Each scenario is best-of-``--repeats`` per tier, the tiers taking
 # turns within each repeat.  ``--check`` re-times every scenario and
-# fails when either absolute gate breaks or any gated ratio regressed
-# more than ``--tolerance`` against the committed baseline.  Gating
-# ratios (not seconds) keeps the check stable across machines of
-# different speed.
+# fails when either absolute gate breaks or any scenario's
+# ``fast_over_reference`` regressed more than ``--tolerance`` against
+# the committed baseline.  Gating ratios (not seconds) keeps the check
+# stable across machines of different speed.
 
-#: Absolute floors the ISSUE's acceptance criteria name.
-GATE_SWEEP_BATCH_OVER_REFERENCE = 10.0
-GATE_STREAMING_BATCH_OVER_FAST = 3.0
+#: Absolute floors of the two DMIN scenarios.
+GATE_SWEEP_FAST_OVER_REFERENCE = 10.0
+GATE_STREAMING_FAST_OVER_REFERENCE = 20.0
 
 SWEEP_LOADS = (0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
 STREAMING_LOADS = (0.1,)
@@ -149,7 +149,7 @@ def _bench_cfg():
     )
 
 
-TIERS = ("reference", "fast", "batch")
+TIERS = ("reference", "fast")
 
 
 def _sweep_seconds(engine_name: str, loads: tuple, kind: str) -> tuple[float, object]:
@@ -170,7 +170,7 @@ def _sweep_seconds(engine_name: str, loads: tuple, kind: str) -> tuple[float, ob
 
 
 def _time_scenario(loads: tuple, repeats: int, kind: str = "dmin") -> dict:
-    """Best-of-``repeats`` time of all three engines on one load set;
+    """Best-of-``repeats`` time of both engines on one load set;
     assert they agree.
 
     The tiers take turns within each repeat, so a drift in host speed
@@ -183,36 +183,22 @@ def _time_scenario(loads: tuple, repeats: int, kind: str = "dmin") -> dict:
         for tier in TIERS:
             seconds, results[tier] = _sweep_seconds(tier, loads, kind)
             best[tier] = min(best[tier], seconds)
-    ref_s, fast_s, batch_s = (best[tier] for tier in TIERS)
-    ref, fast, batch = (results[tier] for tier in TIERS)
-    assert fast.points == ref.points, (
+    ref_s, fast_s = best["reference"], best["fast"]
+    assert results["fast"].points == results["reference"].points, (
         "fast and reference engines disagree -- run tests/differential"
-    )
-    assert batch.points == ref.points, (
-        "batch and reference engines disagree -- run tests/differential"
     )
     return {
         "reference_seconds": round(ref_s, 3),
         "fast_seconds": round(fast_s, 3),
-        "batch_seconds": round(batch_s, 3),
         "fast_over_reference": round(ref_s / fast_s, 3),
-        "batch_over_reference": round(ref_s / batch_s, 3),
-        "batch_over_fast": round(fast_s / batch_s, 3),
     }
 
 
 def run_gate(repeats: int = 3) -> dict:
-    """Time the three engine tiers on every scenario; return the
-    JSON-ready schema-3 record."""
-    from repro.wormhole.batch import numpy_available
-
-    if not numpy_available():  # pragma: no cover - CI installs numpy
-        raise SystemExit(
-            "the perf gate times the batch tier, which requires numpy "
-            "(pip install repro[fast])"
-        )
+    """Time both engine tiers on every scenario; return the JSON-ready
+    schema-4 record."""
     return {
-        "schema": 3,
+        "schema": 4,
         "scenario": {
             "network": "dmin",
             "nodes": 64,
@@ -226,8 +212,10 @@ def run_gate(repeats: int = 3) -> dict:
             "repeats": repeats,
         },
         "gates": {
-            "sweep_batch_over_reference_min": GATE_SWEEP_BATCH_OVER_REFERENCE,
-            "streaming_batch_over_fast_min": GATE_STREAMING_BATCH_OVER_FAST,
+            "sweep_fast_over_reference_min": GATE_SWEEP_FAST_OVER_REFERENCE,
+            "streaming_fast_over_reference_min": (
+                GATE_STREAMING_FAST_OVER_REFERENCE
+            ),
         },
         "sweep": _time_scenario(SWEEP_LOADS, repeats),
         "streaming": _time_scenario(STREAMING_LOADS, repeats),
@@ -236,20 +224,18 @@ def run_gate(repeats: int = 3) -> dict:
 
 
 def _check_absolute_gates(record: dict) -> list[str]:
-    """The ISSUE's hard floors, evaluated on fresh timings."""
+    """The absolute floors, evaluated on fresh timings."""
     failures = []
-    got = record["sweep"]["batch_over_reference"]
-    if got < GATE_SWEEP_BATCH_OVER_REFERENCE:
-        failures.append(
-            f"sweep: batch is {got:.2f}x reference, gate requires "
-            f">= {GATE_SWEEP_BATCH_OVER_REFERENCE:.0f}x"
-        )
-    got = record["streaming"]["batch_over_fast"]
-    if got < GATE_STREAMING_BATCH_OVER_FAST:
-        failures.append(
-            f"streaming: batch is {got:.2f}x fast, gate requires "
-            f">= {GATE_STREAMING_BATCH_OVER_FAST:.0f}x"
-        )
+    for scenario, floor in (
+        ("sweep", GATE_SWEEP_FAST_OVER_REFERENCE),
+        ("streaming", GATE_STREAMING_FAST_OVER_REFERENCE),
+    ):
+        got = record[scenario]["fast_over_reference"]
+        if got < floor:
+            failures.append(
+                f"{scenario}: fast is {got:.2f}x reference, gate requires "
+                f">= {floor:.0f}x"
+            )
     return failures
 
 
@@ -259,7 +245,7 @@ def main(argv=None) -> int:
     import pathlib
 
     parser = argparse.ArgumentParser(
-        description="engine perf gate: reference vs fast vs batch on the N=64 sweep"
+        description="engine perf gate: reference vs fast on the N=64 sweep"
     )
     parser.add_argument(
         "--check",
@@ -284,9 +270,7 @@ def main(argv=None) -> int:
         print(
             f"{name:9s}  reference {row['reference_seconds']:6.2f}s   "
             f"fast {row['fast_seconds']:6.2f}s   "
-            f"batch {row['batch_seconds']:6.2f}s   "
-            f"batch/ref {row['batch_over_reference']:6.2f}x   "
-            f"batch/fast {row['batch_over_fast']:5.2f}x"
+            f"fast/ref {row['fast_over_reference']:6.2f}x"
         )
     if not args.check:
         failures = _check_absolute_gates(record)
@@ -303,13 +287,8 @@ def main(argv=None) -> int:
     if baseline.get("scenario") != record["scenario"]:
         print("NOTE: benchmark scenario changed; rebaseline before gating")
     else:
-        for scenario, ratio in (
-            ("sweep", "batch_over_reference"),
-            ("sweep", "fast_over_reference"),
-            ("streaming", "batch_over_fast"),
-            ("vmin", "fast_over_reference"),
-            ("vmin", "batch_over_reference"),
-        ):
+        ratio = "fast_over_reference"
+        for scenario in ("sweep", "streaming", "vmin"):
             base = baseline[scenario][ratio]
             floor = base * (1.0 - args.tolerance)
             got = record[scenario][ratio]

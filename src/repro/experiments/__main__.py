@@ -261,10 +261,9 @@ def main(argv: list[str] | None = None) -> int:
         "--engine",
         choices=ENGINE_KINDS,
         default=None,
-        help="execution path: the optimized default ('fast'), the numpy "
-        "batch kernel ('batch', needs numpy) or the simple reference "
-        "engine ('reference'); results are identical, only wall-clock "
-        "differs",
+        help="execution path: the optimized default ('fast') or the "
+        "simple reference engine ('reference'); results are identical, "
+        "only wall-clock differs",
     )
     args = parser.parse_args(argv)
     if args.engine:

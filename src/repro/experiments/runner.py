@@ -217,10 +217,9 @@ def build_point(
     """Assemble the fabric of one point: scheduler, engine, root stream.
 
     ``engine`` selects the execution path -- ``"fast"`` pairs the
-    calendar scheduler with the optimized engine phases, ``"batch"``
-    adds the numpy SoA kernel on top (needs the ``repro[fast]``
-    extra), ``"reference"`` the plain heap with the reference phases,
-    and None defers to ``REPRO_ENGINE`` (default fast).  The choice
+    calendar scheduler with the optimized engine phases,
+    ``"reference"`` the plain heap with the reference phases, and None
+    defers to ``REPRO_ENGINE`` (default fast).  The choice
     never changes results (``tests/differential``), only wall-clock
     cost.  ``tag`` replaces ``offered_load`` in the stream labels
     (``engine/{label}/{tag}``, ...) for points keyed by something else,
@@ -235,7 +234,6 @@ def build_point(
         network.build(),
         rng=root.fork(f"engine/{suffix}"),
         fast=kind != "reference",
-        batch=kind == "batch",
     )
     return SimPoint(env, sim_engine, root, suffix)
 
@@ -388,7 +386,7 @@ def run_point(
 ) -> Measurement:
     """Simulate one plain point and return its measurement window.
 
-    ``engine`` ("fast" / "reference" / "batch" / None =
+    ``engine`` ("fast" / "reference" / None =
     ``REPRO_ENGINE``) picks the execution path; results are identical
     either way.
     """

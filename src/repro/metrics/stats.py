@@ -1,8 +1,7 @@
 """Numeric helpers for simulation output analysis.
 
-Plain functions over sequences of floats; no numpy dependency here so
-the collector stays importable in minimal environments (numpy is used
-by the analysis extras instead).
+Plain functions over sequences of floats, with no third-party numeric
+dependency, so the collector stays importable in minimal environments.
 """
 
 from __future__ import annotations

@@ -239,11 +239,7 @@ class PointSpec:
             },
             "load": self.load,
             "seed": self.seed,
-            # The batch tier is an execution detail, not an identity:
-            # its results are bit-identical to fast's (the differential
-            # suite certifies this), so batch points share fast's cache
-            # entries -- and every pre-batch cache key stays byte-stable.
-            "engine": "fast" if self.engine == "batch" else self.engine,
+            "engine": self.engine,
             "faults": canonical_value(self.faults) if self.faults else None,
             "stability": (
                 canonical_value(self.stability) if self.stability else None
@@ -301,7 +297,9 @@ class JobSpec:
         )
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if self.engine not in ENGINE_KINDS:
-            raise ValueError(f"unknown engine {self.engine!r}")
+            raise ValueError(
+                f"engine must be one of {ENGINE_KINDS}, got {self.engine!r}"
+            )
         object.__setattr__(
             self, "stability", validate_stability(self.stability)
         )

@@ -12,7 +12,10 @@ workers directly:
   beat).  Wedged workers are killed and their point re-dispatched;
 * **death recovery** -- a worker that dies (SIGKILL, OOM, segfault) is
   detected by ``Process.is_alive()``, respawned into the same slot, and
-  its in-flight point retried on the fresh worker;
+  its in-flight point retried on the fresh worker.  Each worker reports
+  through its own result pipe (no lock shared with other workers), so
+  a worker killed mid-write truncates only its own channel and never
+  blocks another worker's results;
 * **retry with backoff** -- failed attempts re-dispatch after
   :meth:`repro.faults.recovery.RetryPolicy.nominal_delay` (the same
   schedule the in-simulation source retry uses, in wall seconds);
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import heapq
 import multiprocessing
+import multiprocessing.connection as mp_connection
 import os
 import queue as queue_mod
 import time
@@ -141,14 +145,15 @@ def _format_error(exc: BaseException) -> str:
 def _worker_main(
     worker_id: int,
     task_q: "queue_mod.Queue[object]",
-    result_q: "queue_mod.Queue[tuple]",
+    results: mp_connection.Connection,
     beats: Sequence[float],
     runner: Callable[[object], object],
     point_timeout: Optional[float],
 ) -> None:
     """One worker process: pull tasks until the ``None`` sentinel.
 
-    Protocol on ``result_q`` (all tuples lead with the message kind):
+    Protocol on the worker's private ``results`` pipe (all tuples lead
+    with the message kind):
     ``("start", worker_id, key)`` before computing,
     ``("done", worker_id, key, payload)`` /
     ``("error", worker_id, key, error_str)`` after.
@@ -160,16 +165,16 @@ def _worker_main(
             return
         key, task = item
         slot.beat()
-        result_q.put(("start", worker_id, key))
+        results.send(("start", worker_id, key))
         set_point_heartbeat(slot.beat)
         if point_timeout is not None:
             set_point_deadline(point_timeout)
         try:
             payload = runner(task)
         except BaseException as exc:  # report everything; parent decides
-            result_q.put(("error", worker_id, key, _format_error(exc)))
+            results.send(("error", worker_id, key, _format_error(exc)))
         else:
-            result_q.put(("done", worker_id, key, payload))
+            results.send(("done", worker_id, key, payload))
         finally:
             set_point_deadline(None)
             set_point_heartbeat(None)
@@ -182,6 +187,7 @@ class _Worker:
 
     index: int
     proc: multiprocessing.Process
+    conn: mp_connection.Connection   # read end of the worker's result pipe
     current: Optional[str] = None    # key in flight on this worker
     started: float = 0.0             # dispatch instant of `current`
 
@@ -241,7 +247,6 @@ class WorkerSupervisor:
         )
         ctx = multiprocessing.get_context(method)
         task_q = ctx.Queue()
-        result_q = ctx.Queue()
         beats = ctx.RawArray("d", policy.workers)
         # The parent never touches the raw array directly (RPV009):
         # slot accessors keep the liveness protocol -- never-beaten
@@ -249,17 +254,21 @@ class WorkerSupervisor:
         slots = [HeartbeatSlot(beats, i) for i in range(policy.workers)]
 
         def spawn(index: int) -> _Worker:
+            reader, writer = ctx.Pipe(duplex=False)
             proc = ctx.Process(
                 target=_worker_main,
                 args=(
-                    index, task_q, result_q, beats,
+                    index, task_q, writer, beats,
                     self.runner, policy.point_timeout,
                 ),
                 daemon=True,
             )
             proc.start()
+            # The worker now holds the only write end, so its death
+            # reads as EOF here -- even after a truncated message.
+            writer.close()
             slots[index].beat()
-            return _Worker(index=index, proc=proc)
+            return _Worker(index=index, proc=proc, conn=reader)
 
         workers = [spawn(i) for i in range(policy.workers)]
 
@@ -304,6 +313,48 @@ class WorkerSupervisor:
             # else: attempts exhausted but a hedge twin is still running;
             # its result (or failure) settles the point.
 
+        def handle(msg: tuple) -> None:
+            """Apply one worker message (see :func:`_worker_main`)."""
+            nonlocal queued
+            kind, wid, key = msg[0], msg[1], msg[2]
+            w = workers[wid]
+            if kind == "start":
+                queued = max(0, queued - 1)
+                w.current = key
+                w.started = time.monotonic()  # lint-sim: ignore[RPV002] -- harness scheduling, not sim state
+                inflight.setdefault(key, set()).add(wid)
+            elif kind == "done":
+                if w.current == key:
+                    w.current = None
+                inflight[key].discard(wid)
+                if key in unsettled:
+                    settle(PointOutcome(
+                        key, "ok", payload=msg[3], attempts=attempts[key],
+                    ))
+            elif kind == "error":
+                if w.current == key:
+                    w.current = None
+                inflight[key].discard(wid)
+                record_failure(key, msg[3])
+
+        def drain(w: _Worker) -> bool:
+            """Handle every message waiting on ``w``'s pipe.
+
+            Closes the pipe at EOF: the worker is gone, and a message it
+            was killed in the middle of writing is dropped (its point is
+            retried through the death path).  Returns whether anything
+            arrived.
+            """
+            conn = w.conn
+            got = False
+            try:
+                while not conn.closed and conn.poll():
+                    handle(conn.recv())
+                    got = True
+            except (EOFError, OSError):
+                conn.close()
+            return got
+
         def kill_worker(w: _Worker) -> None:
             w.proc.terminate()
             w.proc.join(timeout=1.0)
@@ -332,39 +383,15 @@ class WorkerSupervisor:
                     queued += 1
                     self._event("dispatch", key=key, attempt=attempts[key])
 
-                # Drain results (block briefly on the first).
+                # Drain results (block briefly for the first).
+                ready_conns = mp_connection.wait(
+                    [w.conn for w in workers if not w.conn.closed],
+                    timeout=policy.poll_interval,
+                )
                 drained_any = False
-                block = True
-                while True:
-                    try:
-                        msg = result_q.get(
-                            timeout=policy.poll_interval if block else 0
-                        )
-                    except queue_mod.Empty:
-                        break
-                    block = False
-                    drained_any = True
-                    kind, wid, key = msg[0], msg[1], msg[2]
-                    w = workers[wid]
-                    if kind == "start":
-                        queued = max(0, queued - 1)
-                        w.current = key
-                        w.started = time.monotonic()  # lint-sim: ignore[RPV002] -- harness scheduling, not sim state
-                        inflight.setdefault(key, set()).add(wid)
-                    elif kind == "done":
-                        if w.current == key:
-                            w.current = None
-                        inflight[key].discard(wid)
-                        if key in unsettled:
-                            settle(PointOutcome(
-                                key, "ok", payload=msg[3],
-                                attempts=attempts[key],
-                            ))
-                    elif kind == "error":
-                        if w.current == key:
-                            w.current = None
-                        inflight[key].discard(wid)
-                        record_failure(key, msg[3])
+                for conn in ready_conns:
+                    if drain(next(w for w in workers if w.conn is conn)):
+                        drained_any = True
                 if drained_any:
                     last_progress = time.monotonic()  # lint-sim: ignore[RPV002] -- harness scheduling, not sim state
 
@@ -372,6 +399,9 @@ class WorkerSupervisor:
                 now = time.monotonic()  # lint-sim: ignore[RPV002] -- harness scheduling, not sim state
                 for w in workers:
                     if not w.proc.is_alive():
+                        # Read what it sent before dying (up to EOF).
+                        drain(w)
+                        w.conn.close()
                         exitcode = w.proc.exitcode
                         report.worker_deaths += 1
                         key = w.current
@@ -400,6 +430,8 @@ class WorkerSupervisor:
                             beat_age=beat_age,
                         )
                         kill_worker(w)
+                        drain(w)
+                        w.conn.close()
                         workers[w.index] = spawn(w.index)
                         inflight[key].discard(w.index)
                         record_failure(
@@ -461,9 +493,9 @@ class WorkerSupervisor:
                 if w.proc.is_alive():
                     kill_worker(w)
             task_q.cancel_join_thread()
-            result_q.cancel_join_thread()
             task_q.close()
-            result_q.close()
+            for w in workers:
+                w.conn.close()
 
         report.elapsed_s = time.monotonic() - t0  # lint-sim: ignore[RPV002] -- harness timing, not sim state
         return report

@@ -47,9 +47,7 @@ class RandomStream:
     # Every variate below draws through ``_randbelow`` (integers) or
     # ``random`` (floats), which reproduce ``random.Random``'s own
     # derivations draw for draw: a stream's results and generator state
-    # match the stdlib's for the same seed.  A subclass that serves the
-    # words another way (``repro.wormhole.batch.BatchStream``) overrides
-    # just these two and the fused ``shuffle``.
+    # match the stdlib's for the same seed.
 
     def _randbelow(self, n: int) -> int:
         """``random.Random._randbelow(n)``: rejection on ``bit_length``."""

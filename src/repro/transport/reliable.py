@@ -13,7 +13,7 @@ endpoints do:
 * unacked segments retransmit on timeout with exponential backoff and
   seeded ± jitter (one RNG draw per scheduling decision, from the
   transport's *own* forked stream, so engine allocation draws are
-  untouched and all three engine tiers stay bit-identical);
+  untouched and both engine tiers stay bit-identical);
 * the send window is AIMD: +``ai_step`` per cumulative-advance ack,
   halved on every loss signal -- the end-to-end counterpart of the
   fabric-level AIMD governor (:mod:`repro.stability.governor`);

@@ -42,27 +42,12 @@ PURITY_ALLOWLIST: Dict[str, str] = {
         "invariant assertions; the differential suite proves sanitized "
         "and unsanitized runs byte-identical"
     ),
-    "repro.wormhole.batch.BatchStream._mirror": (
-        "constructs a numpy MT19937 without a seed, but its state is "
-        "immediately overwritten with the seeded CPython generator "
-        "state being mirrored -- no ambient entropy can ever reach a "
-        "draw; the property suite proves the mirror equal to the "
-        "stdlib stream draw by draw"
-    ),
     "repro.wormhole.channel.bump_fault_epoch": (
         "advances the module-global fault-invalidation token; consumers "
         "only compare two reads for inequality (cache-invalidation "
         "guard), so the absolute counter value cannot reach a payload, "
         "and within one run the bump sequence is a deterministic "
         "function of the seeded fault plan"
-    ),
-    "repro.wormhole.engine._batch_vector_min": (
-        "reads REPRO_BATCH_VECTOR_MIN, the batch tier's vectorization "
-        "threshold; it only selects scalar vs vectorized execution of "
-        "the identical one-cycle advance plan (plan_moves is certified "
-        "equal to the scalar walk by tests/properties/test_batch_soa "
-        "and the differential suite pins the threshold adversarially), "
-        "so no value it returns can alter a payload"
     ),
     "repro.wormhole.engine.resolve_engine": (
         "reads REPRO_ENGINE only when no explicit engine is passed; "

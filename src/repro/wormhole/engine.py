@@ -43,14 +43,12 @@ from repro.wormhole.packet import Packet, PacketState
 #: Channel bandwidth in the paper's units; one cycle is 1/20 us.
 FLITS_PER_MICROSECOND = 20.0
 
-#: Recognised engine paths: the optimized default, the simple reference
-#: implementation the differential suite certifies it against, and the
-#: numpy-backed batch tier (the fast path plus the SoA kernel of
-#: :mod:`repro.wormhole.batch`: span-skipping clock, SoA free-run
-#: ledger, vectorized multi-worm advance, mirrored RNG).  All three are
-#: bit-identical in every observable; batch requires the optional numpy
-#: dependency (``pip install repro[fast]``) and refuses cleanly without.
-ENGINE_KINDS = ("fast", "reference", "batch")
+#: Recognised engine paths: the optimized default (span-skipping clock,
+#: cached blocked headers, per-worm advance with free-run
+#: fast-forward) and the simple reference implementation the
+#: differential suite certifies it against.  Both are bit-identical in
+#: every simulation observable.
+ENGINE_KINDS = ("fast", "reference")
 
 #: Sort key for the fast path's active channel list.
 _TOPO_ORDER = attrgetter("topo_order")
@@ -70,21 +68,6 @@ _WORM_ORDER = attrgetter("_order")
 #: upstream buffer (0) and crosses a tail (1) or delivers (2) -- the
 #: reference sweep performs them in exactly that order within the move.
 _ACT_KEY = itemgetter(0, 1)
-
-
-def _batch_vector_min() -> int:
-    """Vectorization threshold of the batch tier.
-
-    ``REPRO_BATCH_VECTOR_MIN`` pins how many eligible moving worms it
-    takes before Phase B switches from the scalar walk to the
-    vectorized ``plan_moves`` (the property suite sets it to 1 to
-    force the vector path).  The threshold only selects *which
-    implementation executes the same one-cycle plan* -- the two are
-    certified equal by ``tests/properties/test_batch_soa.py`` and the
-    adversarial differential cases -- so the environment read is
-    result-neutral (see the purity allowlist).
-    """
-    return int(os.environ.get("REPRO_BATCH_VECTOR_MIN", "24"))
 
 
 def resolve_engine(engine: Optional[str] = None) -> str:
@@ -214,7 +197,6 @@ class WormholeEngine:
         record_deliveries: bool = True,
         sanitize: Optional[bool] = None,
         fast: Optional[bool] = None,
-        batch: Optional[bool] = None,
     ) -> None:
         self.env = env
         self.network = network
@@ -222,48 +204,27 @@ class WormholeEngine:
         self.record_deliveries = record_deliveries
         self.stats = EngineStats()
         #: ``fast`` True runs the optimized per-cycle phases (active
-        #: channel list, cached blocked headers); False the
-        #: straightforward reference phases.  ``batch`` layers the SoA
-        #: kernel of :mod:`repro.wormhole.batch` on the fast path (and
-        #: implies it).  All paths make bit-identical decisions -- see
-        #: ``tests/differential``.  None defers to ``REPRO_ENGINE``;
-        #: note an *explicit* ``fast`` pins the tier (the env var must
-        #: not silently upgrade a caller who asked for plain fast).
-        kind_env = resolve_engine() if (fast is None or batch is None) else None
-        if batch is None:
-            batch = (kind_env == "batch") if fast is None else False
+        #: channel list, cached blocked headers) on the span-skipping
+        #: clock; False the straightforward reference phases, one
+        #: kernel tick per cycle.  Both paths make bit-identical
+        #: decisions -- see ``tests/differential``.  None defers to
+        #: ``REPRO_ENGINE``.
         if fast is None:
-            fast = kind_env != "reference"
-        if batch and not fast:
-            raise ValueError("batch implies the fast path (fast=False given)")
+            fast = resolve_engine() != "reference"
         self.fast = fast
-        self.batch = batch
-        #: Free-run ledger of the batch tier (replaces the ``_lazy``
-        #: dict buckets) plus its vectorized-advance threshold.
-        self._ledger = None
-        if batch:
-            from repro.wormhole import batch as batch_mod
-
-            batch_mod.require_numpy()
-            self._batch_mod = batch_mod
-            # Serve the engine's allocation stream from the mirrored
-            # MT19937 (bit-identical draws, bulk-prefetched words).
-            self.rng = batch_mod.BatchStream.adopt(self.rng)
-            self._ledger = batch_mod.SoALedger()
-            self._vec_min = _batch_vector_min()
         #: Count of pending headers whose blocked-decision cache is
         #: valid at the current fault epoch.  When it covers the whole
         #: routing queue, Phase A's scan is provably a no-op beyond the
-        #: service-order shuffle (batch tier's all-blocked exit).
+        #: service-order shuffle (the all-blocked exit).
         self._blk_valid = 0
-        #: Deferred service-order shuffles (batch tier).  An all-blocked
-        #: cycle's shuffle permutes ``_pending_route`` but nothing reads
-        #: the order until the next full allocation scan -- and while
-        #: every header is blocked and nothing is moving, the queue's
-        #: membership cannot change either.  So quiet cycles bump this
-        #: counter instead of drawing, and :meth:`_flush_shuffles`
-        #: replays the exact draws (``BatchStream.shuffle_k``) right
-        #: before the next order-observing shuffle or scan.
+        #: Deferred service-order shuffles.  An all-blocked cycle's
+        #: shuffle permutes ``_pending_route`` but nothing reads the
+        #: order until the next full allocation scan -- and while every
+        #: header is blocked and nothing is moving, the queue's
+        #: membership cannot change either.  So quiet cycles (and the
+        #: cycles a clock span skips) bump this counter instead of
+        #: drawing, and :meth:`_flush_shuffles` replays the exact draws
+        #: right before the next order-observing shuffle or scan.
         self._shuffle_debt = 0
         #: Channels with at least one owned lane, in reverse-topological
         #: order (fast path's working set for Phase B).
@@ -686,21 +647,22 @@ class WormholeEngine:
     # ``tests/differential`` certifies the equivalence end to end.
 
     def _flush_shuffles(self) -> None:
-        """Replay deferred all-blocked service-order shuffles (batch).
+        """Replay deferred all-blocked service-order shuffles.
 
         Debt only accrues while the routing queue's membership is
         provably frozen (every header blocked with a valid cache,
         nothing moving, nothing injecting), so replaying the postponed
-        Fisher-Yates passes now -- fused via
-        :meth:`~repro.wormhole.batch.BatchStream.shuffle_k` -- consumes
-        exactly the words the per-cycle shuffles would have, in order.
+        Fisher-Yates passes now, one per owed cycle, consumes exactly
+        the words the per-cycle shuffles would have, in order.
         """
         debt = self._shuffle_debt
         if debt:
             self._shuffle_debt = 0
             pending = self._pending_route
             if len(pending) > 1:
-                self.rng.shuffle_k(pending, debt)
+                shuffle = self.rng.shuffle
+                for _ in range(debt):
+                    shuffle(pending)
 
     def _phase_allocate_fast(self) -> None:
         """Phase A with cached blocked headers and active-list upkeep.
@@ -788,11 +750,7 @@ class WormholeEngine:
 
         if not self._pending_route:
             return
-        if (
-            self._blk_valid == len(self._pending_route)
-            and self.batch
-            and obs is None
-        ):
+        if self._blk_valid == len(self._pending_route) and obs is None:
             # Every pending header holds a current-epoch blocked cache:
             # the scan below would take the cache-hit exit for each one
             # and rebuild the same list.  The service-order shuffle is
@@ -1033,14 +991,7 @@ class WormholeEngine:
         reasoning every cycle (``REPRO_SANITIZE=1``).
         """
         moving = self._moving
-        if self._ledger is not None:
-            acts = (
-                self._ledger.pop_due(self.cycles_run)
-                if self._lazy_live
-                else None
-            )
-        else:
-            acts = self._lazy.pop(self.cycles_run, None) if self._lazy else None
+        acts = self._lazy.pop(self.cycles_run, None) if self._lazy else None
         if not moving and acts is None:
             if self._lazy_live:
                 self._progressed = True  # free-running worms stream
@@ -1059,14 +1010,6 @@ class WormholeEngine:
         ACTIVE = PacketState.ACTIVE
         lazy_ok = self.sanitizer is None
         progressed = False
-        # Batch tier, dense moving set: advance all independent worms
-        # in one vectorized plan (start-of-cycle state; see
-        # batch.plan_moves for the independence argument).  Each plan
-        # is applied at its worm's exact sweep position below, so the
-        # within-cycle event interleaving is untouched.
-        plans = None
-        if self._ledger is not None and len(moving) >= self._vec_min:
-            plans = self._plan_vector(moving)
         write = 0
         for p in moving:
             # Replay the scheduled free-run actions that the reference
@@ -1094,13 +1037,7 @@ class WormholeEngine:
             moved = False
             n1 = len(lanes) - 1
             head = lanes[n1]
-            if plans is not None and p.pid in plans:
-                result = self._apply_plan(p, plans[p.pid])
-                if result is None:
-                    progressed = True
-                    continue  # delivered and finalized
-                moved = result
-            elif head.owner is p:
+            if head.owner is p:
                 up = lanes[n1 - 1] if n1 else None
                 sent = head.sent
                 if sent < length and (up is None or up.buf):
@@ -1182,82 +1119,6 @@ class WormholeEngine:
         if progressed:
             self._progressed = True
 
-    def _plan_vector(self, moving: list) -> Optional[dict]:
-        """Plan the cycle's moves for every vector-eligible worm.
-
-        Eligible: ACTIVE, still owning its head lane, and *not* in the
-        foreign-flit window (head ``sent == 0`` with a non-empty
-        buffer), whose unstall couples it to another worm's move this
-        cycle -- those take the scalar walk at their sweep position.
-        Returns pid -> plan, or None when too few worms qualify to be
-        worth the array setup (the scalar walk handles any subset).
-        """
-        eligible = []
-        ACTIVE = PacketState.ACTIVE
-        for p in moving:
-            if p.state is not ACTIVE:
-                continue
-            lanes = p.lanes
-            n1 = len(lanes) - 1
-            head = lanes[n1]
-            if head.owner is not p or (head.sent == 0 and head.buf != 0):
-                continue
-            i = n1 - 1
-            while i >= 0 and lanes[i].owner is p:
-                i -= 1
-            eligible.append((p, i + 1, n1))
-        if len(eligible) < self._vec_min:
-            return None
-        plans = self._batch_mod.plan_moves(eligible)
-        return {t[0].pid: (t[1], t[2], plan) for t, plan in zip(eligible, plans)}
-
-    def _apply_plan(self, p: Packet, entry) -> Optional[bool]:
-        """Apply one worm's vectorized plan at its sweep position.
-
-        Replays exactly the side effects the scalar walk would emit, in
-        its order: the head first (arrival enqueue / delivery), then
-        body lanes downstream-first.  Returns whether the worm moved,
-        or None when it was delivered and finalized (drop it).
-        """
-        s, n1, (moved, mv, new_sent, new_buf, feed_take) = entry
-        lanes = p.lanes
-        length = p.length
-        if feed_take:
-            lanes[s - 1].buf -= 1
-        head = lanes[n1]
-        if mv[0]:
-            hs = new_sent[0]
-            head.sent = hs
-            if head.channel.is_delivery:
-                p.delivered_flits += 1
-                if hs == length:
-                    head.release()
-                    self._lane_freed(head.channel)
-                    self._finalize(p)
-                    return None
-            else:
-                head.buf = new_buf[0]
-                if hs == 1:
-                    # Header just reached the next switch input.
-                    p.needs_route = True
-                    self._pending_route.append(p)
-                if hs == length:
-                    head.release()
-                    self._lane_freed(head.channel)
-        m = n1 - s + 1
-        for j in range(1, m):
-            if not mv[j]:
-                lanes[n1 - j].buf = new_buf[j]
-                continue
-            lane = lanes[n1 - j]
-            sent = new_sent[j]
-            lane.sent = sent
-            lane.buf = new_buf[j]
-            if sent == length:
-                lane.release()
-                self._lane_freed(lane.channel)
-        return moved
-
     def _enter_lazy(self, p: Packet) -> bool:
         """Try to switch a delivery-phase worm to free-run fast-forward.
 
@@ -1295,15 +1156,6 @@ class WormholeEngine:
         head = lanes[n1]
         c = self.cycles_run
         remaining = p.length - head.sent  # head finishes at c+remaining
-        if self._ledger is not None:
-            # Batch tier: the SoA ledger regenerates the actions below
-            # on demand from five scalars per worm -- no bucket churn.
-            p._lz_slot = self._ledger.add(p, s, n1, c, c + remaining)
-            p._lz_base = c
-            p._lz_sent0 = head.sent
-            p._moving = False
-            self._lazy_live += 1
-            return True
         tok = p._lz_token
         lazy = self._lazy
         for i in range(s, n1):
@@ -1372,9 +1224,8 @@ class WormholeEngine:
             p._lz_token = act[3] + 1  # no actions outlive the delivery
             p._lz_base = -1
             self._lazy_live -= 1
-            if p._lz_slot >= 0:
-                self._ledger.remove(p._lz_slot)
-                p._lz_slot = -1
+            if not self._lazy_live:
+                self._lazy.clear()  # every bucket left is cancelled
             self._finalize(p)
         return True
 
@@ -1407,9 +1258,8 @@ class WormholeEngine:
         p._lz_token += 1
         p._lz_base = -1
         self._lazy_live -= 1
-        if p._lz_slot >= 0:
-            self._ledger.remove(p._lz_slot)
-            p._lz_slot = -1
+        if not self._lazy_live:
+            self._lazy.clear()  # every bucket left is cancelled
 
     def _materialize_lazy(self) -> None:
         """Unwind every free-run shortcut (the channel sweep takes over).
@@ -1420,14 +1270,6 @@ class WormholeEngine:
         the per-worm sweep picks them up.
         """
         moving = self._moving
-        if self._ledger is not None:
-            for p in self._ledger.live_packets():
-                self._materialize_worm(p)  # frees the slot too
-                p._moving = True
-                moving.append(p)
-            self._ledger.clear()
-            self._lazy_live = 0
-            return
         for p in self._lazy_pkts:
             if p._lz_base >= 0:
                 self._materialize_worm(p)
@@ -1595,7 +1437,7 @@ class WormholeEngine:
 
     def _clock(self):
         env = self.env
-        batch = self.batch
+        fast = self.fast
         while True:
             if self.idle:
                 # Fast-forward to the next external event (an arrival);
@@ -1608,7 +1450,7 @@ class WormholeEngine:
                     yield env.timeout(max(1.0, math.ceil(nxt - env.now)))
                 self.step_cycle()
                 continue
-            if batch:
+            if fast:
                 # Batched wake: _span_cycles proves the next k-1 cycles
                 # are no-ops beyond their (deferred) shuffle draws, so
                 # credit them and land straight on tick k of the exact
@@ -1654,19 +1496,26 @@ class WormholeEngine:
             self.step_cycle()
 
     def _span_cycles(self) -> int:
-        """Cycles the batch clock may sleep through in one wake (>= 1).
+        """Cycles the fast clock may sleep through in one wake (>= 1).
 
-        A cycle is a provable no-op -- no RNG draw, no state change, no
-        bus event -- exactly when nothing can inject (``_inj_ready``
-        empty), nothing is moving scalar (``_moving`` empty), every
-        pending header is provably still blocked (cache-hit exits; a
-        lone header consumes no shuffle draw, larger queues do, so
-        spans require <= 1 pending), no free-run action is due (the
-        ledger's next-due horizon), and no per-cycle observer runs
-        (sanitizer / watchdogs / hot bus).  The span is additionally
-        clamped to the next scheduled environment event: arrivals,
-        fault flips, and run() stop events all bound it, so nothing can
-        observe or perturb the engine mid-span.
+        A cycle is a provable no-op beyond its service-order shuffle --
+        no grant, no injection, no flit move, no bus event -- exactly
+        when nothing can inject (``_inj_ready`` empty), nothing is
+        moving scalar (``_moving`` empty), every pending header is
+        provably still blocked (cache-hit exits), no free-run action is
+        due (the earliest ``_lazy`` bucket is the horizon), and no
+        per-cycle observer runs (sanitizer / watchdogs / hot bus).  The
+        span is additionally clamped to the next scheduled environment
+        event: arrivals, fault flips, and run() stop events all bound
+        it, so nothing can observe or perturb the engine mid-span.
+
+        A pending queue of two or more headers still draws one shuffle
+        per cycle; nothing *observes* the permutation until the next
+        executed allocation scan, so the clock accrues the skipped
+        draws as ``_shuffle_debt`` and :meth:`_flush_shuffles` replays
+        them, in stream order, before that scan.  Bit-identical: the
+        engine stream's only consumers are the shuffle and the grant
+        path, and no grant can occur while every header is blocked.
         """
         if (
             self._moving
@@ -1683,19 +1532,13 @@ class WormholeEngine:
             # Some pending header is not provably blocked at the
             # current epoch: the full allocation scan must run.
             return 1
-        # All-blocked cycles do consume randomness (the service-order
-        # shuffle), but nothing *observes* the queue permutation until
-        # the next executed tick -- so the clock defers the draws and
-        # replays the skipped shuffles at wake (``shuffle_k``), in
-        # stream order, before stepping.  Bit-identical: the engine
-        # stream's only consumers are the shuffle and the grant path,
-        # and no grant can occur while every header is blocked.
         if self._lazy_live:
             # The next executed tick pops bucket ``cycles_run``; a span
             # of k lands it on bucket ``cycles_run + k - 1``, so the
-            # ledger's next-due bucket bounds k at ``due-cycles_run+1``.
-            due = self._ledger.next_due()
-            lim = due - self.cycles_run + 1
+            # earliest bucket bounds k at ``due - cycles_run + 1``.
+            # (Cancelled actions can only make the bound low: a
+            # shorter span, never skipped work.)
+            lim = min(self._lazy) - self.cycles_run + 1
             if lim <= 1:
                 return 1
         else:

@@ -62,7 +62,6 @@ class Packet:
         "_lz_base",
         "_lz_sent0",
         "_lz_token",
-        "_lz_slot",
     )
 
     def __init__(
@@ -133,9 +132,6 @@ class Packet:
         self._lz_base = -1
         self._lz_sent0 = 0
         self._lz_token = 0
-        #: Slot index in the batch tier's SoA free-run ledger (see
-        #: :class:`repro.wormhole.batch.SoALedger`); -1 when not held.
-        self._lz_slot = -1
 
     @property
     def latency(self) -> float:

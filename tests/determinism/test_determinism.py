@@ -9,8 +9,8 @@ worker scheduling, and the engine fast path.  Three certificates:
 * ``parallel_sweep`` with 1 worker and with 4 workers returns the
   same measurements (process-pool dispatch order must not leak into
   results);
-* the fast, reference, and batch engines export byte-identical files,
-  so the engine switch can never silently change published numbers.
+* the fast and reference engines export byte-identical files, so the
+  engine switch can never silently change published numbers.
 """
 
 from __future__ import annotations
@@ -102,28 +102,6 @@ def test_fast_and_reference_exports_byte_identical(tmp_path: Path) -> None:
     for name in ("fig.csv", "fig.json"):
         assert (fast / name).read_bytes() == (ref / name).read_bytes(), (
             f"{name} differs between fast and reference engines"
-        )
-
-
-def test_batch_and_fast_exports_byte_identical(tmp_path: Path) -> None:
-    """REPRO_ENGINE=batch publishes the exact bytes of the fast tier:
-    the vectorized kernel is an execution detail, never a result
-    change.  Skipped when numpy (the batch tier's optional extra) is
-    absent."""
-    from repro.wormhole.batch import numpy_available
-
-    if not numpy_available():
-        import pytest
-
-        pytest.skip("batch tier requires numpy")
-    batch, fast = tmp_path / "batch", tmp_path / "fast"
-    batch.mkdir()
-    fast.mkdir()
-    _export_in_subprocess(batch, engine="batch")
-    _export_in_subprocess(fast, engine="fast")
-    for name in ("fig.csv", "fig.json"):
-        assert (batch / name).read_bytes() == (fast / name).read_bytes(), (
-            f"{name} differs between batch and fast engines"
         )
 
 

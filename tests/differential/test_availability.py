@@ -5,7 +5,7 @@ channel churn and exponential-backoff source retry on the fabric and
 labels every stream by the fault rate rather than the load.  It picks
 its engine tier from ``REPRO_ENGINE`` like every other point, and it
 must pair each tier with that tier's scheduler -- the reference phases
-on the plain binary heap, fast and batch on the calendar queue -- so a
+on the plain binary heap, fast on the calendar queue -- so a
 ``--engine=reference`` availability run really is the reference
 implementation end to end.
 
@@ -19,7 +19,7 @@ import pytest
 
 import repro.experiments.availability as availability
 from repro.experiments.config import NetworkConfig
-from tests.differential.harness import BATCH_AVAILABLE, CFG, NETWORK_KINDS
+from tests.differential.harness import CFG, NETWORK_KINDS
 
 #: Enough unavailability and load that churn kills worms and the retry
 #: layer recovers some of them inside the short differential horizon.
@@ -27,11 +27,10 @@ FAULT_RATE = 0.05
 LOAD = 0.5
 MTTR = 300.0
 
-#: tier -> (scheduler, fast phases, batch kernel) it must run on.
+#: tier -> (scheduler, fast phases) it must run on.
 TIERS = {
-    "reference": ("heap", False, False),
-    "fast": ("calendar", True, False),
-    "batch": ("calendar", True, True),
+    "reference": ("heap", False),
+    "fast": ("calendar", True),
 }
 
 
@@ -41,7 +40,7 @@ def _run(kind: str, tier: str, monkeypatch) -> tuple:
 
     def spy(*args, **kwargs):
         sim = build_point(*args, **kwargs)
-        seen.append((sim.env.scheduler, sim.engine.fast, sim.engine.batch))
+        seen.append((sim.env.scheduler, sim.engine.fast))
         return sim
 
     monkeypatch.setattr(availability, "build_point", spy)
@@ -58,6 +57,4 @@ def test_availability_point_identical_across_tiers(kind, monkeypatch):
     reference = _run(kind, "reference", monkeypatch)
     assert reference.failures_injected > 0  # churn genuinely fired
     assert reference.measurement.delivered_packets > 0
-    tiers = ["fast"] + (["batch"] if BATCH_AVAILABLE else [])
-    for tier in tiers:
-        assert _run(kind, tier, monkeypatch) == reference, tier
+    assert _run(kind, "fast", monkeypatch) == reference

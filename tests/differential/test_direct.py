@@ -52,22 +52,12 @@ def test_direct_event_streams_identical():
     """Hot-bus mode: the exact publish order must match, not just the
     end state."""
     fast_rec, ref_rec = EventRecorder(), EventRecorder()
-    from tests.differential.harness import (
-        BATCH_AVAILABLE,
-        run_case,
-        strip_kernel_counters,
-    )
+    from tests.differential.harness import assert_snapshots_match, run_case
 
     kwargs = {"net_kwargs": {**GEOM, "router": "adaptive"}}
     fast = run_case("torus3d", "uniform", 0.6, "fast",
                     sink=fast_rec, **kwargs)
     ref = run_case("torus3d", "uniform", 0.6, "reference",
                    sink=ref_rec, **kwargs)
-    assert fast == ref
+    assert_snapshots_match(fast, ref, "torus3d adaptive")
     assert fast_rec.events == ref_rec.events
-    if BATCH_AVAILABLE:
-        batch_rec = EventRecorder()
-        batch = run_case("torus3d", "uniform", 0.6, "batch",
-                         sink=batch_rec, **kwargs)
-        assert strip_kernel_counters(batch) == strip_kernel_counters(ref)
-        assert batch_rec.events == ref_rec.events

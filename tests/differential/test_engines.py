@@ -2,8 +2,8 @@
 
 Each case seeds one simulation point and runs it under both execution
 paths, asserting the full outcome snapshot -- measurement window,
-engine counters, every delivery record, kernel event counts -- is
-equal.  The grid spans all four networks, two traffic patterns, light
+engine counters, every delivery record -- is equal, and that the fast
+path fires no more kernel events than the reference.  The grid spans all four networks, two traffic patterns, light
 and near-saturation loads, fault injection (soft + hard transient
 events, which exercise abort/materialization on the fast path), and
 runs under the runtime sanitizer (which disables the fast path's

@@ -8,6 +8,8 @@ environment variables, which forked workers inherit.
 import dataclasses
 import os
 import signal
+import struct
+import sys
 import time
 from pathlib import Path
 
@@ -35,6 +37,7 @@ FAST_RETRY = RetryPolicy(
 )
 
 _KILL_ENV = "REPRO_SERVE_TEST_KILL_SENTINEL"
+_WEDGE_ENV = "REPRO_SERVE_TEST_WEDGE_SENTINEL"
 _SLOW_ENV = "REPRO_SERVE_TEST_SLOW_DIR"
 
 
@@ -66,6 +69,33 @@ def _kill_once_runner(point):
     sentinel = Path(os.environ[_KILL_ENV])
     if point.load == 0.4 and not sentinel.exists():
         sentinel.write_text("killed here")
+        os.kill(os.getpid(), signal.SIGKILL)
+    return run_point_spec(point)
+
+
+def _die_mid_result_write_runner(point):
+    """On the marked point's first attempt, SIGKILL this worker while
+    it holds its result channel mid-write.
+
+    The channel is the worker loop's third argument.  A channel with a
+    cross-process write lock (a shared ``multiprocessing.Queue``) is
+    left with that lock taken -- the state a feeder thread killed
+    mid-``put`` leaves behind; a lock-free pipe is left holding a
+    truncated message -- the state a kill mid-``send`` leaves behind.
+    """
+    sentinel = Path(os.environ[_WEDGE_ENV])
+    if point.load == 0.4 and not sentinel.exists():
+        sentinel.write_text("killed here")
+        frame = sys._getframe()
+        while frame.f_code.co_name != "_worker_main":
+            frame = frame.f_back
+        channel = frame.f_locals[frame.f_code.co_varnames[2]]
+        lock = getattr(channel, "_wlock", None)
+        if lock is not None:
+            lock.acquire()
+        else:
+            # A length header promising 64 KiB, then only a few bytes.
+            os.write(channel.fileno(), struct.pack("!i", 1 << 16) + b"trunc")
         os.kill(os.getpid(), signal.SIGKILL)
     return run_point_spec(point)
 
@@ -198,6 +228,37 @@ def test_worker_sigkill_recovery_byte_identical(tmp_path, monkeypatch):
     assert report.complete, f"failures: {report.failures}"
     killed = next(p for p in points if p.load == 0.4)
     assert report.outcomes[killed.key()].attempts >= 2
+    for p in points:
+        assert (
+            payload_json(report.results[p.key()])
+            == payload_json(run_point_spec(p))
+        )
+
+
+def test_sigkill_mid_result_write_settles_every_point(tmp_path, monkeypatch):
+    """A worker SIGKILLed while holding its result channel mid-write
+    must not starve the other workers' results: every point still
+    settles, byte-identical to a single-process run, in bounded time.
+    A wall-clock alarm stops a wedged supervision loop so the test
+    fails instead of hanging."""
+    monkeypatch.setenv(_WEDGE_ENV, str(tmp_path / "killed"))
+    points = _tiny_points(loads=(0.2, 0.4, 0.6, 0.8))
+    sup = WorkerSupervisor(
+        _die_mid_result_write_runner,
+        SupervisePolicy(workers=2, retry=FAST_RETRY, poll_interval=0.02),
+    )
+    previous = signal.signal(signal.SIGALRM, lambda *_: sup.request_stop())
+    signal.setitimer(signal.ITIMER_REAL, 90.0)
+    try:
+        report = sup.run([(p.key(), p) for p in points])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+    assert (tmp_path / "killed").exists(), "the drill never fired"
+    assert not report.interrupted, "supervisor wedged: stopped by the alarm"
+    assert report.worker_deaths >= 1
+    assert report.complete, f"failures: {report.failures}"
     for p in points:
         assert (
             payload_json(report.results[p.key()])

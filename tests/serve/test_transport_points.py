@@ -121,10 +121,14 @@ def test_plain_point_key_has_no_transport():
     assert "transport" not in point.config()
 
 
-def test_batch_hashes_as_fast():
-    fast = PointSpec(NET, WL, 0.4, 7, SMOKE, transport={}, engine="fast")
-    batch = PointSpec(NET, WL, 0.4, 7, SMOKE, transport={}, engine="batch")
-    assert fast.key() == batch.key()
+def test_batch_engine_rejected(monkeypatch):
+    """Only the two engine tiers exist: a job or an environment that
+    names the retired ``batch`` tier fails loudly, naming both."""
+    with pytest.raises(ValueError, match="'fast', 'reference'"):
+        JobSpec((NET,), SMOKE, WL, engine="batch")
+    monkeypatch.setenv("REPRO_ENGINE", "batch")
+    with pytest.raises(ValueError, match="'fast', 'reference'"):
+        PointSpec(NET, WL, 0.4, 7, SMOKE, engine=None)
 
 
 # --------------------------------------------------------------- payload
@@ -159,11 +163,10 @@ def test_payload_is_json_serializable(payload):
 
 def test_payload_identical_across_engines(payload):
     (point,) = spec_with({"rto_base": 64.0, "rto_max": 1024.0}).points()
-    for engine in ("reference", "batch"):
-        other = run_point_spec(
-            PointSpec(
-                point.network, point.workload, point.load, point.seed,
-                point.run, engine=engine, transport=point.transport,
-            )
+    other = run_point_spec(
+        PointSpec(
+            point.network, point.workload, point.load, point.seed,
+            point.run, engine="reference", transport=point.transport,
         )
-        assert payload_json(other) == payload_json(payload)
+    )
+    assert payload_json(other) == payload_json(payload)
